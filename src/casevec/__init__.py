@@ -30,15 +30,7 @@ from .bm25 import (
     compute_profiles,
     similarity_profile,
 )
-from .circle_loss import (
-    AnchorPairs,
-    CircleLossParams,
-    alpha_neg,
-    alpha_pos,
-    collect_pairs,
-    loss_gradient,
-    loss_value,
-)
+from .circle_loss import CircleLossParams, alpha_neg, alpha_pos, loss_gradient
 from .encoder import (
     EncoderConfig,
     EncoderError,

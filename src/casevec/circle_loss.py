@@ -17,7 +17,6 @@ the mean over anchors that have both kinds of partner.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,10 @@ DEFAULT_MIX = math.e * 1e-6
 
 class CircleLossError(ValueError):
     pass
+
+
+class CircleLossDiverged(CircleLossError):
+    """The loss or its gradient is not finite."""
 
 
 @dataclass(frozen=True)
@@ -55,18 +58,6 @@ class CircleLossParams:
             )
 
 
-@dataclass
-class AnchorPairs:
-    """Similarities of one anchor against the rest of the batch."""
-
-    anchor: int
-    pos_partners: np.ndarray  # row indices, shape (K,)
-    pos_sims: np.ndarray  # (K,)
-    pos_weights: np.ndarray  # (K,)
-    neg_partners: np.ndarray  # (L,)
-    neg_sims: np.ndarray  # (L,)
-
-
 def cosine_matrix(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise cosines and row norms; rows with zero norm get cosine 0."""
     norms = np.linalg.norm(embeddings, axis=1)
@@ -76,44 +67,6 @@ def cosine_matrix(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sims[norms == 0.0, :] = 0.0
     sims[:, norms == 0.0] = 0.0
     return sims, norms
-
-
-def collect_pairs(
-    embeddings: np.ndarray,
-    partition: BatchPartition,
-    table: WeightTable,
-) -> list[AnchorPairs]:
-    """Per-anchor similarity lists for the whole batch.
-
-    Same-class pairs carry the symmetric relevance weight max(w_ab, w_ba);
-    other-class pairs carry only their cosine.
-    """
-    n = embeddings.shape[0]
-    if n != len(partition.case_ids):
-        raise CircleLossError("embedding rows do not match the partition")
-    sims, _ = cosine_matrix(embeddings)
-    labels = np.asarray(partition.labels)
-    out = []
-    for a in range(n):
-        same = (labels == labels[a]) & (np.arange(n) != a)
-        diff = labels != labels[a]
-        pos = np.flatnonzero(same)
-        neg = np.flatnonzero(diff)
-        weights = np.array(
-            [table.pair_max(partition.case_ids[a], partition.case_ids[b]) for b in pos],
-            dtype=np.float64,
-        )
-        out.append(
-            AnchorPairs(
-                anchor=a,
-                pos_partners=pos,
-                pos_sims=sims[a, pos],
-                pos_weights=weights,
-                neg_partners=neg,
-                neg_sims=sims[a, neg],
-            )
-        )
-    return out
 
 
 def alpha_pos(weights, sims, hp: CircleLossParams) -> np.ndarray:
@@ -126,56 +79,11 @@ def alpha_neg(sims, hp: CircleLossParams) -> np.ndarray:
     return np.maximum(np.asarray(sims) - hp.optimum_neg, 0.0)
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + float(np.log(np.sum(np.exp(x - m))))
-
-
-def _softplus(z: float) -> float:
-    return float(np.logaddexp(0.0, z))
-
-
-def _anchor_terms(pairs: AnchorPairs, hp: CircleLossParams):
-    """Stable per-anchor exponent sums; None for ineligible anchors."""
-    if pairs.pos_sims.size == 0 or pairs.neg_sims.size == 0:
-        return None
-    ap = alpha_pos(pairs.pos_weights, pairs.pos_sims, hp)
-    an = alpha_neg(pairs.neg_sims, hp)
-    pos_exponents = -hp.gamma * ap * (pairs.pos_sims - hp.margin_pos)
-    neg_exponents = hp.gamma * an * (pairs.neg_sims - hp.margin_neg)
-    return ap, an, pos_exponents, neg_exponents
-
-
-def loss_value(pairs_list: list[AnchorPairs], hp: CircleLossParams) -> float:
-    """Mean anchor loss; 0.0 when no anchor has both pair kinds.
-
-    Evaluated as softplus(logsumexp(neg) + logsumexp(pos)) per anchor,
-    which never overflows. Per-anchor terms are summed in batch order so
-    results do not depend on scheduling.
-    """
-    total = 0.0
-    eligible = 0
-    for pairs in pairs_list:
-        terms = _anchor_terms(pairs, hp)
-        if terms is None:
-            continue
-        _, _, pos_exponents, neg_exponents = terms
-        z = _logsumexp(neg_exponents) + _logsumexp(pos_exponents)
-        total += _softplus(z)
-        eligible += 1
-    if eligible == 0:
-        return 0.0
-    value = total / eligible
-    if not np.isfinite(value):
-        raise CircleLossError("loss is not finite")
-    return value
-
-
-def _cosine_pair_grads(u, v, nu, nv, s):
-    """Gradients of cos(u, v) with respect to u and v."""
-    du = v / (nu * nv) - s * u / (nu * nu)
-    dv = u / (nu * nv) - s * v / (nv * nv)
-    return du, dv
+def _lse_rows(x: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row; masked entries are -inf and every row has
+    at least one finite entry."""
+    m = x.max(axis=1)
+    return m + np.log(np.exp(x - m[:, None]).sum(axis=1))
 
 
 def loss_gradient(
@@ -186,80 +94,62 @@ def loss_gradient(
 ) -> tuple[float, np.ndarray]:
     """Loss value and its exact gradient with respect to the embeddings.
 
-    Relevance weights are treated as constants. The absolute value inside
-    the within-class speed is subdifferentiated with sign(0) = 0, and the
-    between-class hinge uses derivative 0 at its corner.
+    The whole batch is one B×B computation: each anchor's loss is
+    softplus(logsumexp(neg) + logsumexp(pos)) over its masked row, which
+    never overflows, and the coefficients C = d loss / d cosine go back
+    through the cosine Jacobian. Same-class pairs carry the symmetric
+    relevance weight max(w_ab, w_ba), treated as a constant. The absolute
+    value inside the within-class speed is subdifferentiated with
+    sign(0) = 0, and the between-class hinge uses derivative 0 at its
+    corner. A zero-norm row enters the value with cosine 0 and gets a zero
+    gradient.
     """
-    pairs_list = collect_pairs(embeddings, partition, table)
+    n = embeddings.shape[0]
+    if n != len(partition.case_ids):
+        raise CircleLossError("embedding rows do not match the partition")
     sims, norms = cosine_matrix(embeddings)
-    grad = np.zeros_like(embeddings, dtype=np.float64)
-    total = 0.0
-    eligible = 0
-    for pairs in pairs_list:
-        terms = _anchor_terms(pairs, hp)
-        if terms is None:
-            continue
-        ap, an, pos_exponents, neg_exponents = terms
-        lse_pos = _logsumexp(pos_exponents)
-        lse_neg = _logsumexp(neg_exponents)
-        z = lse_neg + lse_pos
-        total += _softplus(z)
-        eligible += 1
-        sig = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
-        # d softplus / d exponent, via the softmax within each logsumexp
-        dz_dpos = np.exp(pos_exponents - lse_pos)
-        dz_dneg = np.exp(neg_exponents - lse_neg)
-        # d exponent / d similarity, differentiating through the speeds
-        centers = np.exp(pairs.pos_weights - 1.0) * hp.optimum_pos
-        sign_pos = np.sign(centers - pairs.pos_sims)
-        dpos_ds = hp.gamma * (sign_pos * (pairs.pos_sims - hp.margin_pos) - ap)
-        active = (pairs.neg_sims > hp.optimum_neg).astype(np.float64)
-        dneg_ds = hp.gamma * (active * (pairs.neg_sims - hp.margin_neg) + an)
-        a = pairs.anchor
-        u = embeddings[a]
-        nu = norms[a]
-        for partners, coeffs in (
-            (pairs.pos_partners, sig * dz_dpos * dpos_ds),
-            (pairs.neg_partners, sig * dz_dneg * dneg_ds),
-        ):
-            for b, coeff in zip(partners, coeffs):
-                nv = norms[b]
-                if nu == 0.0 or nv == 0.0:
-                    continue
-                du, dv = _cosine_pair_grads(u, embeddings[b], nu, nv, sims[a, b])
-                grad[a] += coeff * du
-                grad[b] += coeff * dv
+    labels = np.asarray(partition.labels)
+    same = labels[:, None] == labels[None, :]
+    pos_mask = same & ~np.eye(n, dtype=bool)
+    neg_mask = ~same
+    rows = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    eligible = int(rows.sum())
     if eligible == 0:
-        return 0.0, grad
-    value = total / eligible
-    grad /= eligible
+        return 0.0, np.zeros_like(embeddings, dtype=np.float64)
+
+    idx = table.positions(partition.case_ids)
+    w = table.matrix[np.ix_(idx, idx)]
+    w = np.maximum(w, w.T)
+    ap = alpha_pos(w, sims, hp)
+    an = alpha_neg(sims, hp)
+    pos_exp = np.where(pos_mask, -hp.gamma * ap * (sims - hp.margin_pos), -np.inf)[rows]
+    neg_exp = np.where(neg_mask, hp.gamma * an * (sims - hp.margin_neg), -np.inf)[rows]
+    lse_pos = _lse_rows(pos_exp)
+    lse_neg = _lse_rows(neg_exp)
+    z = lse_pos + lse_neg
+    terms = np.logaddexp(0.0, z)
+    value = float(terms.sum()) / eligible
+
+    # d exponent / d similarity, differentiating through the speeds
+    sign_pos = np.sign(np.exp(w - 1.0) * hp.optimum_pos - sims)
+    dpos_ds = hp.gamma * (sign_pos * (sims - hp.margin_pos) - ap)
+    active = (sims > hp.optimum_neg).astype(np.float64)
+    dneg_ds = hp.gamma * (active * (sims - hp.margin_neg) + an)
+    # sigmoid(z) times the softmax within each logsumexp; masked entries are 0
+    sig = np.exp(z - terms)[:, None] / eligible
+    coeff = np.zeros((n, n))
+    coeff[rows] = sig * (
+        np.exp(pos_exp - lse_pos[:, None]) * dpos_ds[rows]
+        + np.exp(neg_exp - lse_neg[:, None]) * dneg_ds[rows]
+    )
+    live = norms > 0.0
+    coeff *= live[:, None] & live[None, :]
+
+    # d cos(u_i, u_j) / d e_i = (u_j - s_ij u_i) / |e_i|, with both pair orders
+    both = coeff + coeff.T
+    safe = np.where(live, norms, 1.0)[:, None]
+    unit = embeddings / safe
+    grad = (both @ unit - (both * sims).sum(axis=1)[:, None] * unit) / safe
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-        raise CircleLossError("loss or gradient is not finite")
+        raise CircleLossDiverged("loss or gradient is not finite")
     return value, grad
-
-
-def dump_diagnostics(pairs_list: list[AnchorPairs], hp: CircleLossParams, path: str) -> None:
-    """Write per-anchor diagnostics as JSON lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in pair_diagnostics(pairs_list, hp):
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def pair_diagnostics(pairs_list: list[AnchorPairs], hp: CircleLossParams) -> list[dict]:
-    """Per-anchor (K, L, loss term) rows for debugging dumps."""
-    out = []
-    for pairs in pairs_list:
-        terms = _anchor_terms(pairs, hp)
-        loss = None
-        if terms is not None:
-            _, _, pos_exponents, neg_exponents = terms
-            loss = _softplus(_logsumexp(neg_exponents) + _logsumexp(pos_exponents))
-        out.append(
-            {
-                "anchor": pairs.anchor,
-                "num_pos": int(pairs.pos_sims.size),
-                "num_neg": int(pairs.neg_sims.size),
-                "loss_term": loss,
-            }
-        )
-    return out

@@ -40,7 +40,7 @@ from .relevance import WeightTable, load_cases, pairwise_weights
 from .sampling import build_batch, class_partition, sample_quadruples
 from .synth import SynthSpec, generate, load_labels, write_corpus
 from .text import TokenizerConfig, tokenize
-from .training import TrainConfig, train
+from .training import TrainConfig, load_checkpoint, train
 
 
 class CliError(Exception):
@@ -286,6 +286,15 @@ def _cmd_pretrain(args) -> int:
         args,
         _TOKENIZER_OPTS + _BM25_OPTS + _CIRCLE_OPTS + _ENCODER_OPTS + _TRAIN_OPTS + [_SEED_OPT],
     )
+    if opts["steps"] < 1:
+        raise CliError(f"--steps must be at least 1, got {opts['steps']}")
+    if args.resume:
+        done = load_checkpoint(args.resume)[2]
+        if done >= opts["steps"]:
+            raise CliError(
+                f"{args.resume} is already at step {done}; --steps {opts['steps']} leaves "
+                "no step to run"
+            )
     tok = _tok_cfg(opts)
     corpus = build_corpus(load_article_specs(args.articles), tok)
     cases = load_cases(args.cases)

@@ -117,6 +117,10 @@ class WeightTable:
     def get(self, source_id: str, target_id: str) -> float:
         return float(self.matrix[self._pos[source_id], self._pos[target_id]])
 
+    def positions(self, ids: list[str]) -> np.ndarray:
+        """Row indices of the given case ids."""
+        return np.array([self._pos[cid] for cid in ids], dtype=np.int64)
+
     def pair_max(self, a: str, b: str) -> float:
         """max(w_ab, w_ba), the symmetric view used for pair weighting."""
         ia, ib = self._pos[a], self._pos[b]
@@ -144,11 +148,27 @@ class WeightTable:
             header = next(reader, None)
             if header != ["source_id", "target_id", "value"]:
                 raise RelevanceError(f"{path}: unexpected weight CSV header {header!r}")
-            for src, tgt, val in reader:
+            for row in reader:
+                try:
+                    src, tgt, val = row
+                    value = float(val)
+                except ValueError as exc:
+                    raise RelevanceError(
+                        f"{path}:{reader.line_num}: bad row {row!r}: {exc}"
+                    ) from None
+                # NaN fails both comparisons
+                if not 0.0 <= value <= 1.0:
+                    raise RelevanceError(
+                        f"{path}:{reader.line_num}: weight {val!r} is not in [0, 1]"
+                    )
                 if src not in seen:
                     seen.add(src)
                     ids.append(src)
-                values[(src, tgt)] = float(val)
+                if (src, tgt) in values:
+                    raise RelevanceError(
+                        f"{path}:{reader.line_num}: duplicate pair ({src!r}, {tgt!r})"
+                    )
+                values[(src, tgt)] = value
         matrix = np.zeros((len(ids), len(ids)), dtype=np.float64)
         for i, src in enumerate(ids):
             for j, tgt in enumerate(ids):

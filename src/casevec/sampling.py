@@ -1,10 +1,10 @@
 """Positive-pair sampling, batch assembly, and in-batch class structure.
 
-Training batches hold N quadruples (anchor, sampled positive, and their
-similarity profiles), 2N cases total. Within a batch, any two cases whose
-relevance weight exceeds a threshold in either direction are merged into
-one class, and the merge is transitive, so classes are the connected
-components of the thresholded weight graph.
+Training batches hold N quadruples, each an anchor and a positive drawn in
+proportion to its relevance weight, 2N cases total. Within a batch, any
+two cases whose relevance weight exceeds a threshold in either direction
+are merged into one class, and the merge is transitive, so classes are
+the connected components of the thresholded weight graph.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bm25 import SimilarityProfile
 from .relevance import WeightTable
 
 DEFAULT_POSITIVE_FLOOR = 0.5
@@ -32,8 +31,6 @@ class NoPositiveAvailable(SamplingError):
 class Quadruple:
     anchor_id: str
     positive_id: str
-    anchor_profile: SimilarityProfile | None
-    positive_profile: SimilarityProfile | None
     weight: float
 
 
@@ -114,7 +111,6 @@ def sample_quadruples(
     table: WeightTable,
     n: int,
     rng: np.random.Generator,
-    profiles: dict[str, SimilarityProfile] | None = None,
     floor: float = DEFAULT_POSITIVE_FLOOR,
     max_retries: int = 20,
 ) -> list[Quadruple]:
@@ -142,15 +138,7 @@ def sample_quadruples(
             for anchor in anchors:
                 positive, w = sample_positive(anchor, table, rng, floor, exclude=used)
                 used.add(positive)
-                quads.append(
-                    Quadruple(
-                        anchor_id=anchor,
-                        positive_id=positive,
-                        anchor_profile=profiles.get(anchor) if profiles else None,
-                        positive_profile=profiles.get(positive) if profiles else None,
-                        weight=w,
-                    )
-                )
+                quads.append(Quadruple(anchor_id=anchor, positive_id=positive, weight=w))
         except NoPositiveAvailable as exc:
             last_error = exc
             continue

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import encoder as enc
-from .circle_loss import CircleLossError, CircleLossParams, loss_gradient
+from .circle_loss import CircleLossDiverged, CircleLossParams, loss_gradient
 from .relevance import CaseDocument, WeightTable
 from .sampling import (
     DEFAULT_POSITIVE_FLOOR,
@@ -227,10 +227,8 @@ def train(
         embeddings = hidden[:, 0, :]
         try:
             circle_value, d_emb = loss_gradient(embeddings, partition, table, hp)
-        except CircleLossError as exc:
-            if "not finite" in str(exc):
-                raise TrainingDiverged(step, last_checkpoint) from exc
-            raise
+        except CircleLossDiverged as exc:
+            raise TrainingDiverged(step, last_checkpoint) from exc
         if not (math.isfinite(mlm_value) and math.isfinite(circle_value)):
             raise TrainingDiverged(step, last_checkpoint)
         total = total_loss(mlm_value, circle_value, hp.mix)

@@ -16,7 +16,7 @@ import casevec as cv
 from casevec import encoder as enc
 from casevec.articles import ArticleBranch, ArticleCorpus, build_corpus, expand_branches, load_article_specs
 from casevec.bm25 import bm25_score, build_index, compute_profiles
-from casevec.circle_loss import CircleLossParams, collect_pairs, loss_gradient, loss_value
+from casevec.circle_loss import CircleLossParams, loss_gradient
 from casevec.cli import main as cli_main
 from casevec.evaluation import (
     CandidatePool,
@@ -39,6 +39,7 @@ from _helpers import (
     central_difference,
     circle_loss_reference,
     closure_partition_reference,
+    cosine_reference,
     max_relative_error,
     record_acceptance,
 )
@@ -160,13 +161,16 @@ def test_criterion_5_reduction_to_circle_loss():
         ids = [f"c{i}" for i in range(n)]
         table = WeightTable(ids, np.ones((n, n)))
         partition = BatchPartition(ids, labels, hp.class_threshold)
-        pairs = collect_pairs(embeddings, partition, table)
-        got = loss_value(pairs, hp)
+        got = loss_gradient(embeddings, partition, table, hp)[0]
         terms = []
-        for p in pairs:
-            if p.pos_sims.size and p.neg_sims.size:
+        for a in range(n):
+            sims = [cosine_reference(embeddings[a].tolist(), embeddings[b].tolist())
+                    for b in range(n)]
+            pos = [sims[b] for b in range(n) if b != a and labels[b] == labels[a]]
+            neg = [sims[b] for b in range(n) if labels[b] != labels[a]]
+            if pos and neg:
                 terms.append(circle_loss_reference(
-                    p.pos_sims.tolist(), p.neg_sims.tolist(),
+                    pos, neg,
                     hp.gamma, hp.optimum_pos, hp.optimum_neg, hp.margin_pos, hp.margin_neg,
                 ))
         expected = sum(terms) / len(terms) if terms else 0.0
@@ -187,7 +191,7 @@ def test_criterion_6_gradient_checks():
     partition = BatchPartition(ids, [0, 0, 1, 1, 2, 2], hp.class_threshold)
     _, grad = loss_gradient(embeddings, partition, table, hp)
     numeric = central_difference(
-        lambda: loss_value(collect_pairs(embeddings, partition, table), hp),
+        lambda: loss_gradient(embeddings, partition, table, hp)[0],
         embeddings, eps=1e-5,
     )
     emb_err = max_relative_error(grad, numeric)

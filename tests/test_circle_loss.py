@@ -3,6 +3,7 @@
 Reference values come from the scalar reimplementation in _helpers and
 from hand computation; the gradient is checked against central finite
 differences at points away from the absolute-value and hinge corners.
+Tests that need only the value take ``loss_gradient(...)[0]``.
 """
 
 import math
@@ -12,15 +13,11 @@ import numpy as np
 import pytest
 
 from casevec.circle_loss import (
-    AnchorPairs,
     CircleLossParams,
     alpha_neg,
     alpha_pos,
-    collect_pairs,
     cosine_matrix,
     loss_gradient,
-    loss_value,
-    pair_diagnostics,
 )
 from casevec.relevance import WeightTable
 from casevec.sampling import BatchPartition
@@ -28,6 +25,7 @@ from casevec.sampling import BatchPartition
 from _helpers import (
     central_difference,
     circle_loss_reference,
+    cosine_reference,
     max_relative_error,
     weighted_circle_reference,
 )
@@ -46,19 +44,30 @@ def make_instance(n, h, labels, seed, weight_low=0.3):
     return embeddings, partition, table
 
 
+def circle_value(embeddings, partition, table, hp=HP):
+    return loss_gradient(embeddings, partition, table, hp)[0]
+
+
+def reference_value(embeddings, partition, table, hp=HP):
+    return weighted_circle_reference(
+        reference_anchors(embeddings, partition, table),
+        hp.gamma, hp.optimum_pos, hp.optimum_neg, hp.margin_pos, hp.margin_neg,
+    )
+
+
 def reference_anchors(embeddings, partition, table):
     """Rebuild the per-anchor pair lists with scalar arithmetic."""
     n = len(partition.case_ids)
-    sims, _ = cosine_matrix(embeddings)
     anchors = []
     for a in range(n):
         pos, neg = [], []
         for b in range(n):
             if b == a:
                 continue
-            s = float(sims[a, b])
+            s = cosine_reference(embeddings[a].tolist(), embeddings[b].tolist())
             if partition.labels[b] == partition.labels[a]:
-                w = table.pair_max(partition.case_ids[a], partition.case_ids[b])
+                ida, idb = partition.case_ids[a], partition.case_ids[b]
+                w = max(table.get(ida, idb), table.get(idb, ida))
                 pos.append((s, w))
             else:
                 neg.append(s)
@@ -67,28 +76,22 @@ def reference_anchors(embeddings, partition, table):
 
 
 class TestCollectPairs:
-    def test_two_cases_same_class(self):
-        embeddings, partition, table = make_instance(2, 4, [0, 0], seed=0)
-        pairs = collect_pairs(embeddings, partition, table)
-        assert [(p.pos_sims.size, p.neg_sims.size) for p in pairs] == [(1, 0), (1, 0)]
-
-    def test_four_cases_two_classes(self):
-        embeddings, partition, table = make_instance(4, 4, [0, 0, 1, 1], seed=1)
-        pairs = collect_pairs(embeddings, partition, table)
-        assert all((p.pos_sims.size, p.neg_sims.size) == (1, 2) for p in pairs)
+    """What the loss reads of each pair: its cosine and its weight."""
 
     def test_identical_embeddings_have_cosine_one(self):
-        embeddings = np.ones((2, 5))
-        _, partition, table = make_instance(2, 5, [0, 0], seed=2)
-        pairs = collect_pairs(embeddings, partition, table)
-        assert pairs[0].pos_sims[0] == pytest.approx(1.0)
+        sims, _ = cosine_matrix(np.ones((2, 5)))
+        assert sims[0, 1] == pytest.approx(1.0)
 
     def test_pair_weight_is_symmetric_max(self):
-        embeddings, partition, table = make_instance(3, 4, [0, 0, 1], seed=3)
-        pairs = collect_pairs(embeddings, partition, table)
-        partner = int(pairs[0].pos_partners[0])
-        expected = max(table.get("c0", f"c{partner}"), table.get(f"c{partner}", "c0"))
-        assert pairs[0].pos_weights[0] == expected
+        """Only max(w_ab, w_ba) enters: W, its transpose and the symmetric
+        max give the same loss and gradient."""
+        embeddings, partition, table = make_instance(6, 4, [0, 0, 0, 1, 1, 2], seed=3)
+        w = table.matrix
+        value, grad = loss_gradient(embeddings, partition, table, HP)
+        for other in (w.T, np.maximum(w, w.T)):
+            v, g = loss_gradient(embeddings, partition, WeightTable(table.ids, other.copy()), HP)
+            assert v == value
+            assert np.array_equal(g, grad)
 
 
 class TestAlphas:
@@ -111,34 +114,30 @@ class TestAlphas:
 class TestLossValue:
     def test_no_eligible_anchor_gives_zero(self):
         embeddings, partition, table = make_instance(3, 4, [0, 0, 0], seed=4)
-        pairs = collect_pairs(embeddings, partition, table)
-        assert loss_value(pairs, HP) == 0.0
+        assert circle_value(embeddings, partition, table) == 0.0
 
     def test_margin_boundary_gives_log_two(self):
-        """One positive at the within margin and one negative at the
-        between margin: both exponents vanish, loss = log 2."""
-        pairs = [
-            AnchorPairs(
-                anchor=0,
-                pos_partners=np.array([1]),
-                pos_sims=np.array([HP.margin_pos]),
-                pos_weights=np.array([1.0]),
-                neg_partners=np.array([2]),
-                neg_sims=np.array([HP.margin_neg]),
-            )
-        ]
-        assert loss_value(pairs, HP) == pytest.approx(math.log(2.0), abs=1e-12)
+        """Two same-class cases at cosine margin_pos, both at cosine
+        margin_neg to a third case of another class: every exponent
+        vanishes, and each of the two eligible anchors scores log 2."""
+        gram = np.array([
+            [1.0, HP.margin_pos, HP.margin_neg],
+            [HP.margin_pos, 1.0, HP.margin_neg],
+            [HP.margin_neg, HP.margin_neg, 1.0],
+        ])
+        embeddings = np.linalg.cholesky(gram)
+        _, partition, _ = make_instance(3, 3, [0, 0, 1], seed=0)
+        ones = WeightTable(partition.case_ids, np.ones((3, 3)))
+        assert np.allclose(cosine_matrix(embeddings)[0], gram, atol=1e-15)
+        assert circle_value(embeddings, partition, ones) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matches_scalar_reference_on_random_batches(self):
         for seed in range(25):
             rng = np.random.default_rng(seed)
             labels = rng.integers(0, 3, 6).tolist()
             embeddings, partition, table = make_instance(6, 4, labels, seed=seed + 100)
-            got = loss_value(collect_pairs(embeddings, partition, table), HP)
-            expected = weighted_circle_reference(
-                reference_anchors(embeddings, partition, table),
-                HP.gamma, HP.optimum_pos, HP.optimum_neg, HP.margin_pos, HP.margin_neg,
-            )
+            got = circle_value(embeddings, partition, table)
+            expected = reference_value(embeddings, partition, table)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_nonnegative_and_zero_only_without_pairs(self):
@@ -146,17 +145,17 @@ class TestLossValue:
             rng = np.random.default_rng(seed)
             labels = rng.integers(0, 2, 6).tolist()
             embeddings, partition, table = make_instance(6, 5, labels, seed=seed)
-            pairs = collect_pairs(embeddings, partition, table)
-            value = loss_value(pairs, HP)
-            eligible = any(p.pos_sims.size and p.neg_sims.size for p in pairs)
+            value = circle_value(embeddings, partition, table)
+            eligible = len(set(labels)) > 1 and len(set(labels)) < len(labels)
             assert value >= 0.0
             assert (value > 0.0) == eligible
 
     def test_large_gamma_does_not_overflow(self):
         embeddings, partition, table = make_instance(6, 4, [0, 0, 0, 1, 1, 1], seed=6)
         hp = replace(HP, gamma=4096.0)
-        value = loss_value(collect_pairs(embeddings, partition, table), hp)
+        value, grad = loss_gradient(embeddings, partition, table, hp)
         assert np.isfinite(value)
+        assert np.all(np.isfinite(grad))
 
     def test_reduces_to_plain_circle_loss_at_unit_weights(self):
         """With every pair weight 1 the weighted loss is exactly circle
@@ -166,7 +165,7 @@ class TestLossValue:
             labels = rng.integers(0, 2, 6).tolist()
             embeddings, partition, _ = make_instance(6, 4, labels, seed=seed)
             ones = WeightTable(partition.case_ids, np.ones((6, 6)))
-            got = loss_value(collect_pairs(embeddings, partition, ones), HP)
+            got = circle_value(embeddings, partition, ones)
             anchors = reference_anchors(embeddings, partition, ones)
             terms = [
                 circle_loss_reference(
@@ -188,13 +187,11 @@ class TestLossGradient:
         assert np.array_equal(grad, np.zeros_like(embeddings))
 
     def assert_away_from_corners(self, embeddings, partition, table):
-        pairs = collect_pairs(embeddings, partition, table)
-        for p in pairs:
-            centers = np.exp(p.pos_weights - 1.0) * HP.optimum_pos
-            if p.pos_sims.size:
-                assert np.abs(centers - p.pos_sims).min() > 1e-3
-            if p.neg_sims.size:
-                assert np.abs(p.neg_sims - HP.optimum_neg).min() > 1e-3
+        for pos, neg in reference_anchors(embeddings, partition, table):
+            for s, w in pos:
+                assert abs(math.exp(w - 1.0) * HP.optimum_pos - s) > 1e-3
+            for s in neg:
+                assert abs(s - HP.optimum_neg) > 1e-3
 
     def test_matches_finite_differences(self):
         embeddings, partition, table = make_instance(6, 4, [0, 0, 1, 1, 2, 2], seed=42)
@@ -202,35 +199,42 @@ class TestLossGradient:
         value, grad = loss_gradient(embeddings, partition, table, HP)
         assert value > 0.0
         numeric = central_difference(
-            lambda: loss_value(collect_pairs(embeddings, partition, table), HP),
+            lambda: circle_value(embeddings, partition, table),
             embeddings,
             eps=1e-5,
         )
         assert max_relative_error(grad, numeric) < 1e-4
 
-    def test_value_agrees_with_loss_value(self):
-        embeddings, partition, table = make_instance(6, 3, [0, 1, 0, 1, 2, 2], seed=8)
-        value, _ = loss_gradient(embeddings, partition, table, HP)
-        assert value == pytest.approx(
-            loss_value(collect_pairs(embeddings, partition, table), HP), abs=1e-12
+    def test_zero_norm_row(self):
+        """A zero embedding enters the value with cosine 0 and gets an
+        all-zero gradient row; the other rows match central differences
+        of the scalar reference."""
+        embeddings, partition, table = make_instance(6, 4, [0, 0, 1, 1, 2, 2], seed=12)
+        embeddings[2] = 0.0
+        self.assert_away_from_corners(embeddings, partition, table)
+        value, grad = loss_gradient(embeddings, partition, table, HP)
+        assert np.isfinite(value)
+        assert value == pytest.approx(reference_value(embeddings, partition, table), rel=1e-9)
+        assert np.array_equal(grad[2], np.zeros(4))
+        numeric = central_difference(
+            lambda: reference_value(embeddings, partition, table), embeddings, eps=1e-5
         )
+        live = [0, 1, 3, 4, 5]
+        assert max_relative_error(grad[live], numeric[live]) < 1e-4
 
     def test_gamma_doubling_tracked_by_reference(self):
         embeddings, partition, table = make_instance(6, 4, [0, 0, 1, 1, 2, 2], seed=9)
         doubled = replace(HP, gamma=2 * HP.gamma)
-        got = loss_value(collect_pairs(embeddings, partition, table), doubled)
-        expected = weighted_circle_reference(
-            reference_anchors(embeddings, partition, table),
-            2 * HP.gamma, HP.optimum_pos, HP.optimum_neg, HP.margin_pos, HP.margin_neg,
-        )
+        got = circle_value(embeddings, partition, table, doubled)
+        expected = reference_value(embeddings, partition, table, doubled)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_rotation_invariance(self):
         embeddings, partition, table = make_instance(6, 5, [0, 0, 1, 1, 2, 2], seed=10)
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.normal(0.0, 1.0, (5, 5)))
-        base = loss_value(collect_pairs(embeddings, partition, table), HP)
-        rotated = loss_value(collect_pairs(embeddings @ q, partition, table), HP)
+        base = circle_value(embeddings, partition, table)
+        rotated = circle_value(embeddings @ q, partition, table)
         assert rotated == pytest.approx(base, abs=1e-10)
 
 
@@ -248,12 +252,3 @@ class TestHyperParams:
         assert (HP.margin_pos, HP.margin_neg, HP.class_threshold) == (0.75, 0.25, 0.25)
         assert HP.mix == pytest.approx(math.e * 1e-6)
 
-
-class TestDiagnostics:
-    def test_rows_report_counts_and_terms(self):
-        embeddings, partition, table = make_instance(4, 4, [0, 0, 1, 1], seed=12)
-        pairs = collect_pairs(embeddings, partition, table)
-        rows = pair_diagnostics(pairs, HP)
-        assert [r["anchor"] for r in rows] == [0, 1, 2, 3]
-        assert all(r["num_pos"] == 1 and r["num_neg"] == 2 for r in rows)
-        assert all(r["loss_term"] is not None and r["loss_term"] >= 0.0 for r in rows)

@@ -179,6 +179,36 @@ class TestConfigPrecedence:
         assert "unknown config keys" in capsys.readouterr().err
 
 
+PRETRAIN_SMALL = ("--hidden-size", "16", "--num-layers", "1", "--num-heads", "2",
+                  "--ffn-size", "24", "--max-len", "64", "--seed", "3")
+
+
+class TestPretrainWithoutSteps:
+    def pretrain(self, corpus_dir, out, *extra):
+        return run_cli("pretrain", "--articles", str(corpus_dir / "articles.json"),
+                       "--cases", str(corpus_dir / "cases.jsonl"), "--out", str(out),
+                       *PRETRAIN_SMALL, *extra)
+
+    def test_zero_steps_exits_2(self, tmp_path, corpus_dir, capsys):
+        assert self.pretrain(corpus_dir, tmp_path / "run", "--steps", "0") == 2
+        err = capsys.readouterr().err
+        assert "--steps" in err
+        assert "Traceback" not in err
+
+    def test_resume_at_final_step_exits_2(self, tmp_path, corpus_dir, capsys):
+        run_dir = tmp_path / "run"
+        assert self.pretrain(corpus_dir, run_dir, "--steps", "2") == 0
+        ckpt = run_dir / "checkpoints" / "step-000002.ckpt"
+        assert ckpt.exists()
+        capsys.readouterr()
+        code = self.pretrain(corpus_dir, tmp_path / "again", "--steps", "2",
+                             "--resume", str(ckpt))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--steps 2" in err
+        assert "already at step 2" in err
+
+
 class TestErrorsAndHelp:
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         code = run_cli("weights", "--articles", str(tmp_path / "nope.json"),

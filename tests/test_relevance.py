@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from casevec.bm25 import SimilarityProfile
+from casevec.cli import main as cli_main
 from casevec.relevance import (
     CaseDocument,
     RelevanceError,
@@ -176,6 +177,27 @@ class TestPairwiseWeights:
         loaded = WeightTable.from_csv(str(path))
         assert loaded.ids == table.ids
         assert np.array_equal(loaded.matrix, table.matrix)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("a,b", "bad row"),
+        ("a,b,0.5,extra", "bad row"),
+        ("a,b,heavy", "bad row"),
+        ("a,b,nan", "not in [0, 1]"),
+        ("a,b,7", "not in [0, 1]"),
+        ("a,b,-0.5", "not in [0, 1]"),
+        ("a,a,0.5", "duplicate pair"),
+    ])
+    def test_bad_csv_row_names_path_and_line(self, tmp_path, capsys, bad_row, message):
+        path = tmp_path / "weights.csv"
+        path.write_text("source_id,target_id,value\na,a,1.0\n" + bad_row + "\n"
+                        "b,a,0.0\nb,b,1.0\n")
+        with pytest.raises(RelevanceError) as excinfo:
+            WeightTable.from_csv(str(path))
+        assert str(excinfo.value).startswith(f"{path}:3: ")
+        assert message in str(excinfo.value)
+        code = cli_main(["sample", "--weights", str(path), "--out", str(tmp_path / "b.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
     def test_pair_max_is_symmetric_view(self):
         cases, profiles = self.make_three()

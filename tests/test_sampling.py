@@ -71,8 +71,7 @@ class TestSamplePositive:
 
 
 def quad(a, p, w=1.0):
-    return Quadruple(anchor_id=a, positive_id=p, anchor_profile=None,
-                     positive_profile=None, weight=w)
+    return Quadruple(anchor_id=a, positive_id=p, weight=w)
 
 
 class TestBuildBatch:

@@ -9,7 +9,12 @@ import casevec.training as training
 from casevec import encoder as enc
 from casevec.articles import build_corpus
 from casevec.bm25 import build_index, compute_profiles
-from casevec.circle_loss import CircleLossParams, loss_gradient
+from casevec.circle_loss import (
+    CircleLossDiverged,
+    CircleLossError,
+    CircleLossParams,
+    loss_gradient,
+)
 from casevec.relevance import pairwise_weights
 from casevec.sampling import build_batch, class_partition, sample_quadruples
 from casevec.synth import SynthSpec, generate
@@ -141,6 +146,32 @@ class TestTrainLoop:
         assert excinfo.value.step == 2
         assert excinfo.value.checkpoint is not None
         assert "step-000001" in excinfo.value.checkpoint
+
+    @pytest.mark.parametrize("error", [CircleLossDiverged, CircleLossError])
+    def test_only_circle_divergence_becomes_training_divergence(
+        self, tmp_path, monkeypatch, error
+    ):
+        """A diverged circle loss at step 2 names the step-1 checkpoint;
+        any other circle-loss error propagates unchanged."""
+        corpus, table, vocab, enc_cfg = make_setup()
+        calls = {"n": 0}
+
+        def raising(embeddings, partition, table_, hp_):
+            calls["n"] += 1
+            if calls["n"] >= 2:
+                raise error("loss or gradient is not finite")
+            return loss_gradient(embeddings, partition, table_, hp_)
+
+        monkeypatch.setattr(training, "loss_gradient", raising)
+        expected = TrainingDiverged if error is CircleLossDiverged else CircleLossError
+        with pytest.raises(expected) as excinfo:
+            run(4, corpus, table, vocab, enc_cfg,
+                checkpoint_dir=str(tmp_path), checkpoint_every=1)
+        if error is CircleLossDiverged:
+            assert excinfo.value.step == 2
+            assert "step-000001" in excinfo.value.checkpoint
+        else:
+            assert type(excinfo.value) is CircleLossError
 
     def test_fixed_quadruples_reuse_the_same_batch(self, monkeypatch):
         corpus, table, vocab, enc_cfg = make_setup()
