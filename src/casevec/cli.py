@@ -336,7 +336,9 @@ def _cmd_pretrain(args) -> int:
     table.to_csv(os.path.join(args.out, "weights.csv"))
     _echo_config("pretrain", opts, args.out)
     first, last = log.steps[0], log.steps[-1]
-    print(f"trained {last.step} steps: total loss {first.total_loss:.4f} -> {last.total_loss:.4f}")
+    count = len(log.steps)
+    print(f"trained {count} step{'s' if count != 1 else ''}: "
+          f"total loss {first.total_loss:.4f} -> {last.total_loss:.4f}")
     return 0
 
 

@@ -438,18 +438,37 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a store written by ``save_arrays``. A store whose header is cut
+    or unreadable, whose payload is shorter than the header's shapes need,
+    or that has bytes after the last array raises ``EncoderError``."""
+
+    def corrupt(detail: str) -> EncoderError:
+        return EncoderError(f"{path}: truncated or corrupt store: {detail}")
+
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != STORE_MAGIC:
             raise EncoderError(f"{path}: not a parameter store (bad magic {magic!r})")
-        header = json.loads(fh.readline().decode("utf-8"))
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise corrupt(f"header ends after {len(line)} bytes without a newline")
+        try:
+            header = json.loads(line.decode("utf-8"))
+            meta = header["meta"]
+            layout = [(e["name"], np.dtype(e["dtype"]), [int(n) for n in e["shape"]])
+                      for e in header["arrays"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise corrupt(f"unreadable header ({exc})") from None
         arrays = {}
-        for entry in header["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            data = fh.read(count * dtype.itemsize)
-            arrays[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(entry["shape"]).copy()
-    return arrays, header["meta"]
+        for name, dtype, shape in layout:
+            size = math.prod(shape) * dtype.itemsize
+            data = fh.read(size)
+            if len(data) != size:
+                raise corrupt(f"array {name!r} needs {size} bytes, {len(data)} remain")
+            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        if fh.read(1):
+            raise corrupt("bytes remain after the last array")
+    return arrays, meta
 
 
 def save_params(path: str, params: Params, cfg: EncoderConfig) -> None:

@@ -2,7 +2,9 @@
 
 Queries and candidates are embedded independently by the same encoder and
 ranked by cosine similarity. Queries carry facts only; candidates are
-encoded from their facts and holding concatenated. NDCG uses gain
+encoded from their facts and holding concatenated. A candidate pool is
+embedded once per encoder state and reused for every query ranked against
+it; see ``rank``. NDCG uses gain
 2^grade - 1 with a 1/log2(rank + 1) discount, normalized by the ideal
 ordering of the candidate pool.
 """
@@ -10,9 +12,10 @@ ordering of the candidate pool.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,12 +59,13 @@ class QrelSet:
         for key, grade in self.grades.items():
             if grade < 0:
                 raise EvaluationError(f"negative grade for {key}")
+        self._queries = {qid for qid, _ in self.grades}
 
     def grade(self, query_id: str, case_id: str) -> int:
         return self.grades.get((query_id, case_id), 0)
 
     def has_query(self, query_id: str) -> bool:
-        return any(qid == query_id for qid, _ in self.grades)
+        return query_id in self._queries
 
     def to_tsv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -111,6 +115,43 @@ def embed_texts(
     return enc.encode(sequences, params, enc_cfg)
 
 
+def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; zero rows stay zero."""
+    norms = np.linalg.norm(embeddings, axis=1)
+    return embeddings / np.where(norms == 0.0, 1.0, norms)[:, None]
+
+
+def _pool_key(texts, params, enc_cfg, vocab, tok_cfg) -> bytes:
+    """Digest of everything a pool's embeddings depend on. It reads the
+    parameter bytes, never object identities: the optimizer updates params
+    in place, and callers build a new pool object per query."""
+    h = hashlib.sha256()
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name])
+        h.update(json.dumps([name, arr.dtype.str, arr.shape]).encode("utf-8"))
+        h.update(arr.data)
+    h.update(json.dumps([enc_cfg.to_json(), asdict(tok_cfg), vocab.tokens, texts]).encode("utf-8"))
+    return h.digest()
+
+
+# (key, read-only unit embeddings) of the last pool ranked against. One
+# tuple assigned whole, so concurrent callers read an old or new entry,
+# never a mixed one.
+_pool_memo: tuple[bytes, np.ndarray] | None = None
+
+
+def _pool_units(texts, params, enc_cfg, vocab, tok_cfg) -> np.ndarray:
+    global _pool_memo
+    key = _pool_key(texts, params, enc_cfg, vocab, tok_cfg)
+    memo = _pool_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    units = _unit_rows(embed_texts(texts, params, enc_cfg, vocab, tok_cfg))
+    units.setflags(write=False)
+    _pool_memo = (key, units)
+    return units
+
+
 def rank(
     query: QueryCase,
     pool: CandidatePool,
@@ -119,15 +160,20 @@ def rank(
     vocab: enc.Vocab,
     tok_cfg: TokenizerConfig,
 ) -> RankedList:
-    """Order the pool by cosine to the query embedding, ties by case id."""
+    """Order the pool by cosine to the query embedding, ties by case id.
+
+    The query is embedded alone. The pool's unit embeddings are kept for
+    the next call, keyed by the content of the params, configs, vocabulary
+    and candidate texts, so ranking many queries against one pool embeds
+    the pool once for each params state.
+    """
     query.validate()
     pool.validate()
-    texts = [query.facts] + [candidate_text(c) for c in pool.candidates]
-    embeddings = embed_texts(texts, params, enc_cfg, vocab, tok_cfg)
-    norms = np.linalg.norm(embeddings, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = embeddings / safe[:, None]
-    sims = unit[1:] @ unit[0]
+    cand_units = _pool_units(
+        [candidate_text(c) for c in pool.candidates], params, enc_cfg, vocab, tok_cfg
+    )
+    query_unit = _unit_rows(embed_texts([query.facts], params, enc_cfg, vocab, tok_cfg))[0]
+    sims = cand_units @ query_unit
     order = sorted(
         range(len(pool.candidates)),
         key=lambda i: (-sims[i], pool.candidates[i].case_id),

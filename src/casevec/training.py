@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -68,6 +68,11 @@ class TrainConfig:
             raise TrainingError("batch_quadruples must be at least 1")
         if self.learning_rate <= 0:
             raise TrainingError("learning_rate must be positive")
+
+
+# Fields a resumed run may change: how far it runs and where it writes
+# checkpoints. Any other difference would change the steps still to run.
+_RESUMABLE_FIELDS = ("steps", "checkpoint_every", "checkpoint_dir")
 
 
 @dataclass
@@ -186,9 +191,21 @@ def train(
     opt = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     start_step = 0
     if resume_from is not None:
-        params, (opt.m, opt.v), start_step, ck_enc, _ = load_checkpoint(resume_from)
+        params, (opt.m, opt.v), start_step, ck_enc, ck_train = load_checkpoint(resume_from)
         if ck_enc != enc_cfg:
             raise TrainingError("checkpoint encoder config does not match the requested one")
+        differing = [
+            f"{f.name} (checkpoint {getattr(ck_train, f.name)!r}, "
+            f"requested {getattr(cfg, f.name)!r})"
+            for f in fields(TrainConfig)
+            if f.name not in _RESUMABLE_FIELDS
+            and getattr(ck_train, f.name) != getattr(cfg, f.name)
+        ]
+        if differing:
+            raise TrainingError(
+                f"{resume_from}: resuming would not continue the run exactly; "
+                f"train config differs: {'; '.join(differing)}"
+            )
         opt.t = start_step
     log = TrainLog()
     last_checkpoint: str | None = None

@@ -183,30 +183,60 @@ PRETRAIN_SMALL = ("--hidden-size", "16", "--num-layers", "1", "--num-heads", "2"
                   "--ffn-size", "24", "--max-len", "64", "--seed", "3")
 
 
-class TestPretrainWithoutSteps:
-    def pretrain(self, corpus_dir, out, *extra):
-        return run_cli("pretrain", "--articles", str(corpus_dir / "articles.json"),
-                       "--cases", str(corpus_dir / "cases.jsonl"), "--out", str(out),
-                       *PRETRAIN_SMALL, *extra)
+def pretrain(corpus_dir, out, *extra):
+    return run_cli("pretrain", "--articles", str(corpus_dir / "articles.json"),
+                   "--cases", str(corpus_dir / "cases.jsonl"), "--out", str(out),
+                   *PRETRAIN_SMALL, *extra)
 
+
+class TestPretrainWithoutSteps:
     def test_zero_steps_exits_2(self, tmp_path, corpus_dir, capsys):
-        assert self.pretrain(corpus_dir, tmp_path / "run", "--steps", "0") == 2
+        assert pretrain(corpus_dir, tmp_path / "run", "--steps", "0") == 2
         err = capsys.readouterr().err
         assert "--steps" in err
         assert "Traceback" not in err
 
     def test_resume_at_final_step_exits_2(self, tmp_path, corpus_dir, capsys):
         run_dir = tmp_path / "run"
-        assert self.pretrain(corpus_dir, run_dir, "--steps", "2") == 0
+        assert pretrain(corpus_dir, run_dir, "--steps", "2") == 0
         ckpt = run_dir / "checkpoints" / "step-000002.ckpt"
         assert ckpt.exists()
         capsys.readouterr()
-        code = self.pretrain(corpus_dir, tmp_path / "again", "--steps", "2",
+        code = pretrain(corpus_dir, tmp_path / "again", "--steps", "2",
                              "--resume", str(ckpt))
         assert code == 2
         err = capsys.readouterr().err
         assert "--steps 2" in err
         assert "already at step 2" in err
+
+
+class TestResume:
+    @pytest.fixture
+    def ckpt(self, tmp_path, corpus_dir, capsys):
+        assert pretrain(corpus_dir, tmp_path / "run", "--steps", "2") == 0
+        capsys.readouterr()
+        return tmp_path / "run" / "checkpoints" / "step-000002.ckpt"
+
+    def test_prints_the_steps_run(self, tmp_path, corpus_dir, ckpt, capsys):
+        assert pretrain(corpus_dir, tmp_path / "more", "--steps", "3",
+                             "--resume", str(ckpt)) == 0
+        assert capsys.readouterr().out.startswith("trained 1 step: ")
+
+    def test_changed_seed_exits_2(self, tmp_path, corpus_dir, ckpt, capsys):
+        code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3",
+                             "--resume", str(ckpt), "--seed", "99")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed (checkpoint 3, requested 99)" in err
+        assert "Traceback" not in err
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, corpus_dir, ckpt, capsys):
+        ckpt.write_bytes(ckpt.read_bytes()[:3000])
+        code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3",
+                             "--resume", str(ckpt))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: truncated or corrupt store" in err
 
 
 class TestErrorsAndHelp:

@@ -320,3 +320,21 @@ class TestParameterStore:
         enc.save_arrays(str(path), {"x": np.zeros(2)}, {"kind": "something-else"})
         with pytest.raises(enc.EncoderError, match="does not hold encoder params"):
             enc.load_params(str(path))
+
+    @pytest.mark.parametrize("damage", ["cut_header", "bad_header", "cut_payload", "trailing"])
+    def test_damaged_store_names_path(self, tmp_path, damage):
+        cfg = tiny_config()
+        path = tmp_path / "params.bin"
+        enc.save_params(str(path), enc.init_params(cfg), cfg)
+        data = path.read_bytes()
+        header_end = data.index(b"\n", len(enc.STORE_MAGIC)) + 1
+        damaged = {
+            "cut_header": data[: header_end - 10],
+            "bad_header": enc.STORE_MAGIC + b"{not json}\n" + data[header_end:],
+            "cut_payload": data[:-5],
+            "trailing": data + b"\0",
+        }[damage]
+        path.write_bytes(damaged)
+        with pytest.raises(enc.EncoderError, match="truncated or corrupt store") as excinfo:
+            enc.load_params(str(path))
+        assert str(excinfo.value).startswith(f"{path}: ")

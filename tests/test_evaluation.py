@@ -12,7 +12,11 @@ import math
 import numpy as np
 import pytest
 
+import casevec.evaluation as evaluation
 from casevec import encoder as enc
+from casevec.articles import build_corpus
+from casevec.bm25 import build_index, compute_profiles
+from casevec.circle_loss import CircleLossParams
 from casevec.evaluation import (
     CandidatePool,
     EvaluationError,
@@ -20,6 +24,7 @@ from casevec.evaluation import (
     QueryCase,
     RankedList,
     candidate_text,
+    embed_texts,
     evaluate,
     export_embeddings,
     load_queries,
@@ -30,8 +35,10 @@ from casevec.evaluation import (
     save_queries,
     save_run,
 )
-from casevec.relevance import CaseDocument
-from casevec.text import TokenizerConfig
+from casevec.relevance import CaseDocument, pairwise_weights
+from casevec.synth import SynthSpec, generate
+from casevec.text import TokenizerConfig, tokenize
+from casevec.training import TrainConfig, train
 
 from _helpers import ndcg_reference
 
@@ -224,6 +231,118 @@ class TestRank:
         a = rank(query, CandidatePool("q", candidates), params, cfg, vocab, TOK)
         b = rank(query, CandidatePool("q", candidates), params, cfg, vocab, TOK)
         assert a == b
+
+
+def joint_rank_reference(query, candidates, params, cfg, vocab, tok):
+    """Ranking by one joint batch of the query and every candidate, the
+    path that embedded the whole pool again for each query."""
+    texts = [query.facts] + [candidate_text(c) for c in candidates]
+    embeddings = embed_texts(texts, params, cfg, vocab, tok)
+    norms = np.linalg.norm(embeddings, axis=1)
+    unit = embeddings / np.where(norms == 0.0, 1.0, norms)[:, None]
+    sims = unit[1:] @ unit[0]
+    order = sorted(range(len(candidates)), key=lambda i: (-sims[i], candidates[i].case_id))
+    return [(candidates[i].case_id, float(sims[i])) for i in order]
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A synthetic corpus and params after a few training steps."""
+    corpus = generate(SynthSpec(num_articles=2, branches_per_article=2, cases_per_branch=4,
+                                queries_per_branch=2, vocab_size=44, seed=3))
+    articles = build_corpus(corpus.article_specs, TOK)
+    table = pairwise_weights(corpus.cases,
+                             compute_profiles(corpus.cases, articles, build_index(articles, TOK)))
+    vocab = enc.Vocab.build([tokenize(c.facts, TOK) + tokenize(c.holding, TOK)
+                             for c in corpus.cases])
+    cfg = enc.EncoderConfig(vocab_size=len(vocab), hidden_size=16, num_layers=1,
+                            num_heads=2, ffn_size=24, max_len=64, seed=1)
+    params, _ = train(corpus.cases, table, vocab, TOK, cfg,
+                      TrainConfig(steps=4, batch_quadruples=2, seed=5),
+                      hp=CircleLossParams(mix=1.0))
+    return corpus, params, cfg, vocab
+
+
+@pytest.fixture
+def embedded_rows(monkeypatch):
+    """Row count of every call rank makes to embed_texts, starting from an
+    empty memo; the reference above calls the unwrapped function."""
+    monkeypatch.setattr(evaluation, "_pool_memo", None)
+    rows = []
+    real = evaluation.embed_texts
+
+    def counting(texts, *args):
+        rows.append(len(texts))
+        return real(texts, *args)
+
+    monkeypatch.setattr(evaluation, "embed_texts", counting)
+    return rows
+
+
+def assert_matches_reference(run, query, candidates, params, cfg, vocab, tok=TOK):
+    expected = joint_rank_reference(query, candidates, params, cfg, vocab, tok)
+    assert [cid for cid, _ in run.ranking] == [cid for cid, _ in expected]
+    for (_, got), (_, want) in zip(run.ranking, expected):
+        assert abs(got - want) <= 1e-12
+
+
+class TestPoolMemo:
+    def test_every_query_matches_the_joint_batch(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        n = len(corpus.cases)
+        for query in corpus.queries:
+            run = rank(query, CandidatePool(query.query_id, corpus.cases), params, cfg, vocab, TOK)
+            assert_matches_reference(run, query, corpus.cases, params, cfg, vocab)
+        assert embedded_rows == [n] + [1] * len(corpus.queries)
+
+    def test_equal_content_hits_across_new_objects(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        query = corpus.queries[0]
+        first = rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, TOK)
+        copies = {k: v.copy() for k, v in params.items()}
+        again = rank(query, CandidatePool("q", list(corpus.cases)), copies, cfg,
+                     enc.Vocab(list(vocab.tokens)), TokenizerConfig())
+        assert again == first
+        assert embedded_rows == [len(corpus.cases), 1, 1]
+
+    def test_in_place_param_change_recomputes(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        params = {k: v.copy() for k, v in params.items()}
+        query = corpus.queries[0]
+        rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, TOK)
+        params["layers.0.ffn.b1"][3] += 0.05  # as Adam.step does, in place
+        run = rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, TOK)
+        assert embedded_rows == [len(corpus.cases), 1, len(corpus.cases), 1]
+        assert_matches_reference(run, query, corpus.cases, params, cfg, vocab)
+
+    def test_different_candidates_recompute(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        query = corpus.queries[1]
+        rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, TOK)
+        fewer = corpus.cases[1:]
+        run = rank(query, CandidatePool("q", fewer), params, cfg, vocab, TOK)
+        assert embedded_rows == [len(corpus.cases), 1, len(fewer), 1]
+        assert_matches_reference(run, query, fewer, params, cfg, vocab)
+
+    def test_different_tokenizer_config_recomputes(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        query = corpus.queries[2]
+        rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, TOK)
+        other = TokenizerConfig(mode="char-unigram")
+        run = rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, other)
+        assert embedded_rows == [len(corpus.cases), 1, len(corpus.cases), 1]
+        assert_matches_reference(run, query, corpus.cases, params, cfg, vocab, other)
+
+    def test_memo_holds_one_pool(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        query = corpus.queries[0]
+        pool_a, pool_b = corpus.cases[:6], corpus.cases[6:]
+        for pool in (pool_a, pool_b, pool_a):
+            rank(query, CandidatePool("q", pool), params, cfg, vocab, TOK)
+        assert embedded_rows == [len(pool_a), 1, len(pool_b), 1, len(pool_a), 1]
+        key, units = evaluation._pool_memo
+        assert units.shape == (len(pool_a), cfg.hidden_size)
+        assert not units.flags.writeable
 
 
 class TestPca2d:

@@ -128,6 +128,21 @@ class TestTrainLoop:
         for k in full_params:
             assert np.allclose(full_params[k], resumed_params[k], atol=1e-12)
 
+    def test_resume_with_other_train_config_is_refused(self, tmp_path):
+        corpus, table, vocab, enc_cfg = make_setup()
+        run(2, corpus, table, vocab, enc_cfg, checkpoint_dir=str(tmp_path))
+        ckpt = tmp_path / "step-000002.ckpt"
+        cfg = TrainConfig(steps=4, batch_quadruples=3, seed=99, mask_rate=0.2)
+        with pytest.raises(TrainingError) as excinfo:
+            train(corpus.cases, table, vocab, TOK, enc_cfg, cfg, resume_from=str(ckpt))
+        message = str(excinfo.value)
+        assert message.startswith(f"{ckpt}: ")
+        # steps and checkpoint_dir differ too, but a resume may change them
+        assert message.endswith(
+            "train config differs: batch_quadruples (checkpoint 2, requested 3); "
+            "seed (checkpoint 7, requested 99); mask_rate (checkpoint 0.15, requested 0.2)"
+        )
+
     def test_divergence_aborts_with_checkpoint_reference(self, tmp_path, monkeypatch):
         corpus, table, vocab, enc_cfg = make_setup()
 
