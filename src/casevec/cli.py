@@ -245,13 +245,18 @@ def _cmd_expand_articles(args) -> int:
     return 0
 
 
-def _cmd_weights(args) -> int:
-    opts = _effective(args, _TOKENIZER_OPTS + _BM25_OPTS)
+def _weight_table(args, opts):
+    """Branch corpus, cases and their weight table from --articles and --cases."""
     tok = _tok_cfg(opts)
     corpus = build_corpus(load_article_specs(args.articles), tok)
     cases = load_cases(args.cases)
     index = build_index(corpus, tok, k1=opts["k1"], b=opts["b"])
-    table = pairwise_weights(cases, compute_profiles(cases, corpus, index))
+    return corpus, cases, pairwise_weights(cases, compute_profiles(cases, corpus, index))
+
+
+def _cmd_weights(args) -> int:
+    opts = _effective(args, _TOKENIZER_OPTS + _BM25_OPTS)
+    _, _, table = _weight_table(args, opts)
     table.to_csv(args.out)
     _echo_config("weights", opts, args.out)
     print(f"wrote {len(table.ids)}x{len(table.ids)} weight table to {args.out}")
@@ -296,10 +301,7 @@ def _cmd_pretrain(args) -> int:
                 "no step to run"
             )
     tok = _tok_cfg(opts)
-    corpus = build_corpus(load_article_specs(args.articles), tok)
-    cases = load_cases(args.cases)
-    index = build_index(corpus, tok, k1=opts["k1"], b=opts["b"])
-    table = pairwise_weights(cases, compute_profiles(cases, corpus, index))
+    corpus, cases, table = _weight_table(args, opts)
     vocab = enc.Vocab.build(
         [tokenize(c.facts, tok) + tokenize(c.holding, tok) + tokenize(c.decision, tok)
          for c in cases]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -471,6 +471,25 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
+def config_from_meta(cls, stored, path: str, error: type[Exception]):
+    """Rebuild the config dataclass ``cls`` from a store's metadata. The
+    stored object must name exactly the fields of ``cls`` with valid
+    values; anything else raises ``error("<path>: ...")``."""
+    what = f"{path}: stored {cls.__name__}"
+    if not isinstance(stored, dict):
+        raise error(f"{what} is not an object: {stored!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(stored) - set(names))
+    missing = [name for name in names if name not in stored]
+    if unknown or missing:
+        raise error(f"{what} does not match this version: unknown fields {unknown}, "
+                    f"missing fields {missing}")
+    try:
+        return cls(**stored)
+    except (TypeError, ValueError, RuntimeError) as exc:
+        raise error(f"{what} is invalid: {exc}") from None
+
+
 def save_params(path: str, params: Params, cfg: EncoderConfig) -> None:
     save_arrays(path, params, {"kind": "encoder-params", "version": 1, "config": cfg.to_json()})
 
@@ -479,4 +498,4 @@ def load_params(path: str) -> tuple[Params, EncoderConfig]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "encoder-params":
         raise EncoderError(f"{path}: store does not hold encoder params")
-    return arrays, EncoderConfig(**meta["config"])
+    return arrays, config_from_meta(EncoderConfig, meta.get("config"), path, EncoderError)

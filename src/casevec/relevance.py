@@ -121,11 +121,6 @@ class WeightTable:
         """Row indices of the given case ids."""
         return np.array([self._pos[cid] for cid in ids], dtype=np.int64)
 
-    def pair_max(self, a: str, b: str) -> float:
-        """max(w_ab, w_ba), the symmetric view used for pair weighting."""
-        ia, ib = self._pos[a], self._pos[b]
-        return float(max(self.matrix[ia, ib], self.matrix[ib, ia]))
-
     def rows(self):
         for i, src in enumerate(self.ids):
             for j, tgt in enumerate(self.ids):

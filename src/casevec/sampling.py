@@ -47,39 +47,13 @@ class BatchPartition:
     threshold: float
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller index as root so labels stay canonical
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def eligible_positives(
-    anchor_id: str, table: WeightTable, floor: float = DEFAULT_POSITIVE_FLOOR
-) -> list[tuple[str, float]]:
-    """Cases other than the anchor with weight(anchor, case) >= floor."""
-    out = []
-    for other in table.ids:
-        if other == anchor_id:
-            continue
-        w = table.get(anchor_id, other)
-        if w >= floor:
-            out.append((other, w))
-    return out
+def _eligible(table: WeightTable, floor: float, rows=slice(None)) -> np.ndarray:
+    """Eligible positives of the anchor rows (all by default): weight >=
+    floor, not the anchor itself."""
+    mask = table.matrix[rows] >= floor
+    anchors = np.arange(len(table.ids))[rows]
+    mask[np.arange(len(anchors)), anchors] = False
+    return mask
 
 
 def sample_positive(
@@ -92,19 +66,21 @@ def sample_positive(
     """Draw a positive for the anchor, proportional to weight.
 
     Only cases with weight >= floor are eligible; ``exclude`` removes ids
-    already used in the batch. Deterministic for a given generator state.
+    already used in the batch. Candidates keep the order of ``table.ids``,
+    so the draw is deterministic for a given generator state.
     """
-    candidates = eligible_positives(anchor_id, table, floor)
+    row = table.positions([anchor_id])
+    cand = np.flatnonzero(_eligible(table, floor, row)[0])
     if exclude:
-        candidates = [(cid, w) for cid, w in candidates if cid not in exclude]
-    if not candidates:
+        cand = cand[np.array([table.ids[i] not in exclude for i in cand], dtype=bool)]
+    if not len(cand):
         raise NoPositiveAvailable(f"no positive available for anchor {anchor_id!r}")
-    weights = np.array([w for _, w in candidates], dtype=np.float64)
+    weights = table.matrix[row[0], cand].astype(np.float64)
     total = weights.sum()
     if total <= 0.0:
         raise NoPositiveAvailable(f"all candidate weights are zero for anchor {anchor_id!r}")
-    pick = int(rng.choice(len(candidates), p=weights / total))
-    return candidates[pick]
+    pick = int(rng.choice(len(cand), p=weights / total))
+    return table.ids[cand[pick]], float(weights[pick])
 
 
 def sample_quadruples(
@@ -124,7 +100,7 @@ def sample_quadruples(
     """
     if n < 1:
         raise SamplingError(f"need at least one quadruple, got n={n}")
-    pool = [cid for cid in table.ids if eligible_positives(cid, table, floor)]
+    pool = [table.ids[i] for i in np.flatnonzero(_eligible(table, floor).any(axis=1))]
     if len(pool) < n:
         raise SamplingError(
             f"only {len(pool)} cases have an eligible positive; cannot draw {n} anchors"
@@ -170,17 +146,16 @@ def class_partition(
     Two cases connect when the weight strictly exceeds the threshold in
     either direction; labels are the connected components of that graph.
     """
-    uf = UnionFind(len(batch_ids))
-    for i, a in enumerate(batch_ids):
-        for j in range(i + 1, len(batch_ids)):
-            b = batch_ids[j]
-            if table.get(a, b) > threshold or table.get(b, a) > threshold:
-                uf.union(i, j)
-    roots = [uf.find(i) for i in range(len(batch_ids))]
-    label_of_root: dict[int, int] = {}
-    labels = []
-    for root in roots:
-        if root not in label_of_root:
-            label_of_root[root] = len(label_of_root)
-        labels.append(label_of_root[root])
-    return BatchPartition(case_ids=list(batch_ids), labels=labels, threshold=threshold)
+    pos = table.positions(batch_ids)
+    above = table.matrix[np.ix_(pos, pos)] > threshold
+    linked = above | above.T | np.eye(len(pos), dtype=bool)
+    # each case takes the lowest root among its links until nothing moves;
+    # every component then carries its smallest member position
+    roots = np.arange(len(pos))
+    while True:
+        lowest = np.where(linked, roots, len(pos)).min(axis=1, initial=len(pos))
+        if np.array_equal(lowest, roots):
+            break
+        roots = lowest
+    labels = np.unique(roots, return_inverse=True)[1]
+    return BatchPartition(case_ids=list(batch_ids), labels=labels.tolist(), threshold=threshold)

@@ -168,8 +168,8 @@ def load_checkpoint(path):
     params = {k: v for k, v in arrays.items() if not k.startswith("opt.")}
     m = {k[len("opt.m."):]: v for k, v in arrays.items() if k.startswith("opt.m.")}
     v = {k[len("opt.v."):]: v for k, v in arrays.items() if k.startswith("opt.v.")}
-    enc_cfg = enc.EncoderConfig(**meta["config"])
-    train_cfg = TrainConfig(**meta["train_config"])
+    enc_cfg = enc.config_from_meta(enc.EncoderConfig, meta.get("config"), path, TrainingError)
+    train_cfg = enc.config_from_meta(TrainConfig, meta.get("train_config"), path, TrainingError)
     return params, (m, v), meta["step"], enc_cfg, train_cfg
 
 
@@ -192,20 +192,21 @@ def train(
     start_step = 0
     if resume_from is not None:
         params, (opt.m, opt.v), start_step, ck_enc, ck_train = load_checkpoint(resume_from)
-        if ck_enc != enc_cfg:
-            raise TrainingError("checkpoint encoder config does not match the requested one")
-        differing = [
-            f"{f.name} (checkpoint {getattr(ck_train, f.name)!r}, "
-            f"requested {getattr(cfg, f.name)!r})"
-            for f in fields(TrainConfig)
-            if f.name not in _RESUMABLE_FIELDS
-            and getattr(ck_train, f.name) != getattr(cfg, f.name)
-        ]
-        if differing:
-            raise TrainingError(
-                f"{resume_from}: resuming would not continue the run exactly; "
-                f"train config differs: {'; '.join(differing)}"
-            )
+        for what, stored, requested, skip in (
+            ("encoder", ck_enc, enc_cfg, ()),
+            ("train", ck_train, cfg, _RESUMABLE_FIELDS),
+        ):
+            differing = [
+                f"{f.name} (checkpoint {getattr(stored, f.name)!r}, "
+                f"requested {getattr(requested, f.name)!r})"
+                for f in fields(stored)
+                if f.name not in skip and getattr(stored, f.name) != getattr(requested, f.name)
+            ]
+            if differing:
+                raise TrainingError(
+                    f"{resume_from}: resuming would not continue the run exactly; "
+                    f"{what} config differs: {'; '.join(differing)}"
+                )
         opt.t = start_step
     log = TrainLog()
     last_checkpoint: str | None = None

@@ -119,6 +119,62 @@ def closure_partition_reference(n, connected):
     return labels
 
 
+def sample_batches_reference(table, n, rng, floor, threshold, batches, max_retries=20):
+    """Training batches drawn from the definition, one per entry of the result.
+
+    A positive of an anchor is any other case with weight >= floor, found
+    by scanning ``table.ids`` in order with ``table.get``. Anchors come
+    from the cases that have one; each anchor then draws a positive among
+    those not yet in the batch, in proportion to weight. A batch whose
+    anchor runs out of positives (or of positive weight) is redrawn, up to
+    ``max_retries`` times. The rng calls are those of the package, so the
+    draws can be compared one for one.
+
+    Each entry is ``(tries, quads, labels)`` with quads as (anchor,
+    positive, weight) and labels the closure partition of the batch at
+    ``threshold``, or ``(tries, reason, None)`` where the draw fails.
+    """
+
+    def positives(anchor, exclude):
+        out = []
+        for other in table.ids:
+            if other != anchor and other not in exclude and table.get(anchor, other) >= floor:
+                out.append((other, table.get(anchor, other)))
+        return out
+
+    results = []
+    for _ in range(batches):
+        if n < 1:
+            results.append((0, "no quadruple asked for", None))
+            continue
+        pool = [cid for cid in table.ids if positives(cid, set())]
+        if len(pool) < n:
+            results.append((0, "too few anchors", None))
+            continue
+        outcome = (max_retries, "no collision-free batch", None)
+        for tries in range(1, max_retries + 1):
+            anchors = [pool[i] for i in rng.choice(len(pool), size=n, replace=False)]
+            used = set(anchors)
+            quads = []
+            for anchor in anchors:
+                cands = positives(anchor, used)
+                weights = np.array([w for _, w in cands], dtype=np.float64)
+                if not cands or weights.sum() <= 0.0:
+                    break
+                positive, w = cands[int(rng.choice(len(cands), p=weights / weights.sum()))]
+                used.add(positive)
+                quads.append((anchor, positive, w))
+            else:
+                ids = [cid for quad in quads for cid in quad[:2]]
+                labels = closure_partition_reference(
+                    len(ids), lambda i, j: table.get(ids[i], ids[j]) > threshold
+                )
+                outcome = (tries, quads, labels)
+                break
+        results.append(outcome)
+    return results
+
+
 def ndcg_reference(grades_in_rank_order, k):
     """Graded NDCG with gain 2^g - 1 and log2(rank + 1) discount."""
 

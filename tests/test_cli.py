@@ -5,6 +5,7 @@ import json
 import pytest
 
 from casevec.cli import build_parser, main
+from casevec.encoder import load_arrays, save_arrays
 
 
 def run_cli(*argv):
@@ -237,6 +238,51 @@ class TestResume:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{ckpt}: truncated or corrupt store" in err
+
+    def test_changed_encoder_config_names_path_and_field(self, tmp_path, corpus_dir, ckpt,
+                                                           capsys):
+        code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3",
+                        "--resume", str(ckpt), "--hidden-size", "32")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {ckpt}: resuming would not continue the run exactly; "
+                       "encoder config differs: hidden_size (checkpoint 16, requested 32)\n")
+
+    @pytest.mark.parametrize("section, key, value, detail", [
+        ("train_config", "warmup", 10, "unknown fields ['warmup'], missing fields []"),
+        ("config", "dropout", 0.1, "unknown fields ['dropout'], missing fields []"),
+        ("train_config", "seed", None, "unknown fields [], missing fields ['seed']"),
+    ], ids=["unknown-train-field", "unknown-encoder-field", "missing-train-field"])
+    def test_stored_config_fields_must_match(self, tmp_path, corpus_dir, ckpt, capsys,
+                                             section, key, value, detail):
+        arrays, meta = load_arrays(str(ckpt))
+        if value is None:
+            del meta[section][key]
+        else:
+            meta[section][key] = value
+        save_arrays(str(ckpt), arrays, meta)
+        code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3",
+                        "--resume", str(ckpt))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: stored ")
+        assert detail in err
+
+    def test_encode_with_unknown_params_field_exits_2(self, tmp_path, corpus_dir, ckpt,
+                                                      capsys):
+        params = tmp_path / "run" / "encoder.params"
+        arrays, meta = load_arrays(str(params))
+        meta["config"]["dropout"] = 0.1
+        save_arrays(str(params), arrays, meta)
+        code = run_cli("encode", "--checkpoint", str(params),
+                       "--vocab", str(tmp_path / "run" / "vocab.txt"),
+                       "--cases", str(corpus_dir / "cases.jsonl"),
+                       "--out", str(tmp_path / "emb.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {params}: stored EncoderConfig does not match this version: "
+            "unknown fields ['dropout'], missing fields []\n"
+        )
 
 
 class TestErrorsAndHelp:

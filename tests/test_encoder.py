@@ -338,3 +338,24 @@ class TestParameterStore:
         with pytest.raises(enc.EncoderError, match="truncated or corrupt store") as excinfo:
             enc.load_params(str(path))
         assert str(excinfo.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda m: m["config"].update(dropout=0.1),
+         "does not match this version: unknown fields ['dropout'], missing fields []"),
+        (lambda m: m["config"].pop("vocab_size"),
+         "does not match this version: unknown fields [], missing fields ['vocab_size']"),
+        (lambda m: m["config"].update(hidden_size=0), "is invalid: all encoder sizes"),
+        (lambda m: m["config"].update(hidden_size="64"), "is invalid: "),
+        (lambda m: m.pop("config"), "is not an object: None"),
+    ], ids=["unknown", "missing", "zero-size", "str-size", "absent"])
+    def test_stored_config_must_name_its_fields(self, tmp_path, edit, detail):
+        cfg = tiny_config()
+        path = tmp_path / "params.bin"
+        enc.save_params(str(path), enc.init_params(cfg), cfg)
+        arrays, meta = enc.load_arrays(str(path))
+        edit(meta)
+        enc.save_arrays(str(path), arrays, meta)
+        with pytest.raises(enc.EncoderError) as excinfo:
+            enc.load_params(str(path))
+        assert str(excinfo.value).startswith(f"{path}: stored EncoderConfig ")
+        assert detail in str(excinfo.value)

@@ -199,13 +199,6 @@ class TestPairwiseWeights:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
-    def test_pair_max_is_symmetric_view(self):
-        cases, profiles = self.make_three()
-        table = pairwise_weights(cases, profiles)
-        for a in table.ids:
-            for b in table.ids:
-                assert table.pair_max(a, b) == max(table.get(a, b), table.get(b, a))
-
 
 class TestCaseFiles:
     def test_round_trip(self, tmp_path):

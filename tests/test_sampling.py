@@ -16,7 +16,7 @@ from casevec.sampling import (
     sample_quadruples,
 )
 
-from _helpers import closure_partition_reference
+from _helpers import closure_partition_reference, sample_batches_reference
 
 
 def table_of(matrix, ids=None):
@@ -68,6 +68,19 @@ class TestSamplePositive:
         table = table_of(np.full((4, 4), 1.0))
         rng = np.random.default_rng(1)
         assert all(sample_positive("c2", table, rng)[0] != "c2" for _ in range(50))
+
+    def test_exclude_may_hold_unknown_ids(self):
+        """Ids in ``exclude`` that the table lacks change nothing."""
+        table = table_of([[1.0, 0.9, 0.6, 0.7], [0.9, 1.0, 0.0, 0.0],
+                          [0.6, 0.0, 1.0, 0.0], [0.7, 0.0, 0.0, 1.0]])
+        for seed in range(20):
+            expected = sample_positive("c0", table, np.random.default_rng(seed), exclude={"c1"})
+            got = sample_positive("c0", table, np.random.default_rng(seed),
+                                  exclude={"c1", "zz"})
+            assert got == expected
+            assert got[0] in {"c2", "c3"}
+        with pytest.raises(NoPositiveAvailable):
+            sample_positive("c0", table, np.random.default_rng(0), exclude={"c1", "c2", "c3", "zz"})
 
 
 def quad(a, p, w=1.0):
@@ -193,3 +206,72 @@ class TestClassPartition:
         matrix[1, 4] = matrix[4, 1] = 0.9
         part = class_partition([f"c{i}" for i in range(5)], table_of(matrix), 0.25)
         assert part.labels == [0, 1, 2, 3, 1]
+
+
+# how the reference names each way a draw fails, and the package's message
+FAILURES = {
+    "no quadruple asked for": "need at least one quadruple",
+    "too few anchors": "cases have an eligible positive",
+    "no collision-free batch": "collision-free quadruples",
+}
+
+
+def random_table(size, density, seed):
+    """Uniform weights, each kept with probability ``density``; unit diagonal."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(0.0, 1.0, (size, size)) * (rng.uniform(0.0, 1.0, (size, size)) < density)
+    np.fill_diagonal(matrix, 1.0)
+    return table_of(matrix)
+
+
+def check_against_reference(table, n, seed, floor, threshold, batches=3):
+    """Draw ``batches`` batches from one generator through sample_quadruples,
+    build_batch and class_partition, and from a twin generator through the
+    reference; assert the two agree exactly. Returns the reference results."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = sample_batches_reference(table, n, ref_rng, floor, threshold, batches)
+    for _, quads, labels in expected:
+        if labels is None:
+            with pytest.raises(SamplingError) as excinfo:
+                sample_quadruples(table, n, rng, floor=floor)
+            assert type(excinfo.value) is SamplingError
+            assert FAILURES[quads] in str(excinfo.value)
+            continue
+        got = sample_quadruples(table, n, rng, floor=floor)
+        assert [(q.anchor_id, q.positive_id, q.weight) for q in got] == quads
+        batch = build_batch(got)
+        assert class_partition(batch, table, threshold).labels == labels
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return expected
+
+
+class TestAgainstReference:
+    """The vectorized sampler against the loop-based one written from the
+    definition: same ids, weights, labels, failures and generator state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(2, 24),
+        density=st.sampled_from([0.05, 0.15, 0.4, 1.0]),
+        floor=st.sampled_from([0.3, 0.5, 0.8]),
+        threshold=st.sampled_from([0.25, 0.5]),
+        n=st.integers(0, 8),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_draws_equal_the_reference(self, size, density, floor, threshold, n, seed):
+        check_against_reference(random_table(size, density, seed), n, seed, floor, threshold)
+
+    def test_sparse_tables_retry_and_dead_end(self):
+        """Sparse tables where earlier picks often use up an anchor's
+        positives: the sweep must see batches drawn after a retry, batches
+        that exhaust their retries, and tables with too few anchors."""
+        seen = set()
+        for seed in range(60):
+            for tries, quads, labels in check_against_reference(
+                random_table(8, 0.2, seed), 3, seed, 0.3, 0.25
+            ):
+                if labels is None:
+                    seen.add(quads)
+                elif tries > 1:
+                    seen.add("retried")
+        assert {"retried", "no collision-free batch", "too few anchors"} <= seen
