@@ -19,6 +19,11 @@ from .articles import ArticleBranch, ArticleCorpus
 from .text import TokenizerConfig, tokenize
 
 
+# term-frequency saturation and length normalization of the scoring formula
+DEFAULT_K1 = 1.5
+DEFAULT_B = 0.75
+
+
 class Bm25Error(ValueError):
     pass
 
@@ -74,8 +79,8 @@ class SimilarityProfile:
 def build_index(
     corpus: ArticleCorpus,
     cfg: TokenizerConfig = TokenizerConfig(),
-    k1: float = 1.5,
-    b: float = 0.75,
+    k1: float = DEFAULT_K1,
+    b: float = DEFAULT_B,
 ) -> Bm25Index:
     """Count statistics of the branch corpus into an index.
 

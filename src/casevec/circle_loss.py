@@ -18,12 +18,12 @@ the mean over anchors that have both kinds of partner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .relevance import WeightTable
-from .sampling import BatchPartition
+from .sampling import DEFAULT_CLASS_THRESHOLD, BatchPartition
 
 # mixing coefficient of this loss in the combined objective, e * 1e-6
 DEFAULT_MIX = math.e * 1e-6
@@ -46,10 +46,13 @@ class CircleLossParams:
     optimum_neg: float = 0.25
     margin_pos: float = 0.75
     margin_neg: float = 0.25
-    class_threshold: float = 0.25
+    class_threshold: float = DEFAULT_CLASS_THRESHOLD
     mix: float = DEFAULT_MIX
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise CircleLossError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.gamma <= 0:
             raise CircleLossError(f"gamma must be positive, got {self.gamma}")
         if not self.margin_neg < self.margin_pos:

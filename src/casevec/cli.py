@@ -15,14 +15,15 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from . import encoder as enc
 from .articles import build_corpus, load_article_specs
-from .bm25 import build_index, compute_profiles
-from .circle_loss import DEFAULT_MIX, CircleLossParams
+from .bm25 import DEFAULT_B, DEFAULT_K1, build_index, compute_profiles
+from .circle_loss import CircleLossParams
 from .evaluation import (
     CandidatePool,
     QrelSet,
@@ -48,92 +49,108 @@ class CliError(Exception):
 
 
 class _Opt:
-    def __init__(self, flag, default, type=str, help="", nargs=None, action=None, dest=None):
+    """One subcommand option. An option bound to a field of the dataclass
+    ``config`` (by default the field named like its dest) takes that field's
+    default. The default also fixes how the flag parses: a bool makes a
+    switch to the other value, a tuple takes that many values of its items'
+    type, anything else takes one value of its own type."""
+
+    def __init__(self, flag, help, default=None, config=None, field=None, dest=None):
         self.flag = flag
-        self.dest = dest or flag.lstrip("-").replace("-", "_")
-        self.default = default
-        self.type = type
         self.help = help
-        self.nargs = nargs
-        self.action = action
+        self.dest = dest or flag.lstrip("-").replace("-", "_")
+        self.config = config
+        self.field = field or self.dest
+        self.default = default if config is None else {
+            f.name: f.default for f in fields(config)}[self.field]
 
 
 _TOKENIZER_OPTS = [
-    _Opt("--tokenizer-mode", "whitespace", help="token splitting: whitespace or char-unigram"),
-    _Opt("--no-lowercase", True, action="store_false", dest="lowercase",
-         help="keep the original letter case"),
-    _Opt("--keep-punctuation", True, action="store_false", dest="strip_punctuation",
-         help="do not strip punctuation"),
+    _Opt("--tokenizer-mode", "token splitting: whitespace or char-unigram",
+         config=TokenizerConfig, field="mode"),
+    _Opt("--no-lowercase", "keep the original letter case",
+         config=TokenizerConfig, dest="lowercase"),
+    _Opt("--keep-punctuation", "do not strip punctuation",
+         config=TokenizerConfig, dest="strip_punctuation"),
 ]
 
 _BM25_OPTS = [
-    _Opt("--k1", 1.5, type=float, help="BM25 term-frequency saturation"),
-    _Opt("--b", 0.75, type=float, help="BM25 length normalization"),
+    _Opt("--k1", "BM25 term-frequency saturation", DEFAULT_K1),
+    _Opt("--b", "BM25 length normalization", DEFAULT_B),
 ]
 
+# options that pretrain and sample share
+_CLASS_THRESHOLD = _Opt("--class-threshold", "weight above which cases share a class",
+                        config=CircleLossParams)
+_BATCH_QUADRUPLES = _Opt("--batch-quadruples", "anchor/positive pairs per batch",
+                         config=TrainConfig)
+_POSITIVE_FLOOR = _Opt("--positive-floor", "minimum weight for positive sampling",
+                       config=TrainConfig)
+_SEED = _Opt("--seed", "seed for all randomness of this command", config=TrainConfig)
+
 _CIRCLE_OPTS = [
-    _Opt("--gamma", 16.0, type=float, help="similarity scale factor"),
-    _Opt("--optimum-pos", 1.25, type=float, help="within-class optimum"),
-    _Opt("--optimum-neg", 0.25, type=float, help="between-class optimum"),
-    _Opt("--margin-pos", 0.75, type=float, help="within-class margin"),
-    _Opt("--margin-neg", 0.25, type=float, help="between-class margin"),
-    _Opt("--class-threshold", 0.25, type=float, help="weight above which cases share a class"),
-    _Opt("--mix", DEFAULT_MIX, type=float, help="weight of the circle loss in the total"),
+    _Opt("--gamma", "similarity scale factor", config=CircleLossParams),
+    _Opt("--optimum-pos", "within-class optimum", config=CircleLossParams),
+    _Opt("--optimum-neg", "between-class optimum", config=CircleLossParams),
+    _Opt("--margin-pos", "within-class margin", config=CircleLossParams),
+    _Opt("--margin-neg", "between-class margin", config=CircleLossParams),
+    _CLASS_THRESHOLD,
+    _Opt("--mix", "weight of the circle loss in the total", config=CircleLossParams),
 ]
 
 _ENCODER_OPTS = [
-    _Opt("--hidden-size", 64, type=int, help="embedding width"),
-    _Opt("--num-layers", 2, type=int, help="transformer blocks"),
-    _Opt("--num-heads", 4, type=int, help="attention heads"),
-    _Opt("--ffn-size", 128, type=int, help="feed-forward width"),
-    _Opt("--max-len", 128, type=int, help="maximum input length"),
-    _Opt("--encoder-seed", 0, type=int, help="parameter initialization seed"),
+    _Opt("--hidden-size", "embedding width", config=enc.EncoderConfig),
+    _Opt("--num-layers", "transformer blocks", config=enc.EncoderConfig),
+    _Opt("--num-heads", "attention heads", config=enc.EncoderConfig),
+    _Opt("--ffn-size", "feed-forward width", config=enc.EncoderConfig),
+    _Opt("--max-len", "maximum input length", config=enc.EncoderConfig),
+    _Opt("--encoder-seed", "parameter initialization seed", config=enc.EncoderConfig,
+         field="seed"),
 ]
 
 _TRAIN_OPTS = [
-    _Opt("--steps", 200, type=int, help="training steps"),
-    _Opt("--batch-quadruples", 4, type=int, help="anchor/positive pairs per batch"),
-    _Opt("--learning-rate", 1e-3, type=float, help="Adam learning rate"),
-    _Opt("--grad-clip", 1.0, type=float, help="global gradient-norm cap, 0 disables"),
-    _Opt("--mask-rate", 0.15, type=float, help="fraction of tokens hidden for prediction"),
-    _Opt("--positive-floor", 0.5, type=float, help="minimum weight for positive sampling"),
-    _Opt("--mlm-sum", False, action="store_true",
-         help="sum the masked-token loss over positions instead of averaging"),
-    _Opt("--fixed-quadruples", False, action="store_true",
-         help="sample quadruples once and reuse them every step"),
-    _Opt("--checkpoint-every", 0, type=int, help="steps between checkpoints, 0 = final only"),
+    _Opt("--steps", "training steps", config=TrainConfig),
+    _BATCH_QUADRUPLES,
+    _Opt("--learning-rate", "Adam learning rate", config=TrainConfig),
+    _Opt("--grad-clip", "global gradient-norm cap, 0 disables", config=TrainConfig),
+    _Opt("--mask-rate", "fraction of tokens hidden for prediction", config=TrainConfig),
+    _POSITIVE_FLOOR,
+    _Opt("--mlm-sum", "sum the masked-token loss over positions instead of averaging", False),
+    _Opt("--fixed-quadruples", "sample quadruples once and reuse them every step", False),
+    _Opt("--checkpoint-every", "steps between checkpoints, 0 = final only", config=TrainConfig),
 ]
 
 _SYNTH_OPTS = [
-    _Opt("--num-articles", 2, type=int, help="synthetic articles"),
-    _Opt("--branches-per-article", 3, type=int, help="branches per article"),
-    _Opt("--keywords-per-branch", 4, type=int, help="keywords owned by each branch"),
-    _Opt("--vocab-size", 60, type=int, help="distinct tokens, keywords plus fillers"),
-    _Opt("--cases-per-branch", 6, type=int, help="training cases per branch"),
-    _Opt("--queries-per-branch", 2, type=int, help="held-out queries per branch"),
-    _Opt("--facts-len", [24, 40], type=int, nargs=2, help="facts length range"),
-    _Opt("--holding-len", [12, 20], type=int, nargs=2, help="holding length range"),
-    _Opt("--noise-rate", 0.0, type=float, help="fraction of off-branch holding tokens"),
+    _Opt("--num-articles", "synthetic articles", config=SynthSpec),
+    _Opt("--branches-per-article", "branches per article", config=SynthSpec),
+    _Opt("--keywords-per-branch", "keywords owned by each branch", config=SynthSpec),
+    _Opt("--vocab-size", "distinct tokens, keywords plus fillers", config=SynthSpec),
+    _Opt("--cases-per-branch", "training cases per branch", config=SynthSpec),
+    _Opt("--queries-per-branch", "held-out queries per branch", config=SynthSpec),
+    _Opt("--facts-len", "facts length range", config=SynthSpec),
+    _Opt("--holding-len", "holding length range", config=SynthSpec),
+    _Opt("--noise-rate", "fraction of off-branch holding tokens", config=SynthSpec),
+    _Opt("--seed", _SEED.help, config=SynthSpec),
 ]
 
-_SEED_OPT = _Opt("--seed", 0, type=int, help="seed for all randomness of this command")
+_PRETRAIN_OPTS = (_TOKENIZER_OPTS + _BM25_OPTS + _CIRCLE_OPTS + _ENCODER_OPTS + _TRAIN_OPTS
+                  + [_SEED])
 
 _SAMPLE_OPTS = [
-    _Opt("--num-batches", 8, type=int, help="batches to draw"),
-    _Opt("--batch-quadruples", 4, type=int, help="anchor/positive pairs per batch"),
-    _Opt("--positive-floor", 0.5, type=float, help="minimum weight for positive sampling"),
-    _Opt("--class-threshold", 0.25, type=float, help="weight above which cases share a class"),
-    _SEED_OPT,
+    _Opt("--num-batches", "batches to draw", 8),
+    _BATCH_QUADRUPLES,
+    _POSITIVE_FLOOR,
+    _CLASS_THRESHOLD,
+    _SEED,
 ]
 
 _EVALUATE_OPTS = [
-    _Opt("--ks", "10,20,30", help="comma-separated NDCG cutoffs"),
-    _Opt("--skip-unjudged", False, action="store_true",
-         help="skip queries without qrels instead of failing"),
+    _Opt("--ks", "comma-separated NDCG cutoffs", "10,20,30"),
+    _Opt("--skip-unjudged", "skip queries without qrels instead of failing", False),
 ]
 
 _PROJECTION_OPTS = [
-    _Opt("--projection", "none", help="none for raw vectors, pca2d for a 2D projection"),
+    _Opt("--projection", "none for raw vectors, pca2d for a 2D projection", "none"),
 ]
 
 
@@ -141,39 +158,75 @@ def _register(parser: argparse.ArgumentParser, opts: list[_Opt]) -> None:
     for opt in opts:
         kwargs: dict = {"dest": opt.dest, "default": argparse.SUPPRESS,
                         "help": f"{opt.help} (default: {_show(opt.default)})"}
-        if opt.action:
-            kwargs["action"] = opt.action
+        if isinstance(opt.default, bool):
+            kwargs["action"] = "store_false" if opt.default else "store_true"
+        elif isinstance(opt.default, tuple):
+            kwargs.update(type=type(opt.default[0]), nargs=len(opt.default))
         else:
-            kwargs["type"] = opt.type
-            if opt.nargs:
-                kwargs["nargs"] = opt.nargs
+            kwargs["type"] = type(opt.default)
         parser.add_argument(opt.flag, **kwargs)
+    parser.set_defaults(opts=opts)
 
 
 def _show(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, list):
-        return " ".join(str(v) for v in value)
-    return str(value)
+    return " ".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
 
 
-def _effective(args: argparse.Namespace, opts: list[_Opt]) -> dict:
-    """Merge defaults, --config file values, and explicit CLI flags."""
-    defaults = {opt.dest: opt.default for opt in opts}
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise CliError(f"{config_path}: unknown config keys {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in defaults:
-        if hasattr(args, key):
-            merged[key] = getattr(args, key)
+def _accepts(default, value) -> bool:
+    """Whether ``value`` is one that the flag of an option with ``default``
+    parses to; an int is a valid value for a float option."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_accepts(default[0], v) for v in value))
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _kind(default) -> str:
+    if isinstance(default, tuple):
+        return f"a list of {len(default)} values, each {_kind(default[0])}"
+    return {bool: "true or false", int: "an integer", float: "a number",
+            str: "a string"}[type(default)]
+
+
+def _read_config(path: str, opts: dict[str, _Opt]) -> dict:
+    """The option values of a --config file, each checked as its flag is."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            values = json.load(fh)
+        except ValueError as exc:
+            raise CliError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise CliError(f"{path}: must hold a JSON object of option values")
+    unknown = set(values) - set(opts)
+    if unknown:
+        raise CliError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in values.items():
+        default = opts[key].default
+        if not _accepts(default, value):
+            raise CliError(f"{path}: {key!r} must be {_kind(default)}, got {json.dumps(value)}")
+    return values
+
+
+def _effective(args: argparse.Namespace) -> dict:
+    """Merge defaults, --config file values, and explicit CLI flags of ``args.opts``."""
+    opts = {opt.dest: opt for opt in args.opts}
+    merged = {dest: opt.default for dest, opt in opts.items()}
+    if args.config:
+        merged.update(_read_config(args.config, opts))
+    merged.update((dest, getattr(args, dest)) for dest in opts if hasattr(args, dest))
     return merged
+
+
+def _build(config, args: argparse.Namespace, opts: dict, **explicit):
+    """Make ``config`` from the effective values of the options bound to its
+    fields, plus the ``explicit`` field values."""
+    for opt in args.opts:
+        if opt.config is config:
+            value = opts[opt.dest]
+            explicit[opt.field] = tuple(value) if isinstance(value, list) else value
+    return config(**explicit)
 
 
 def _echo_config(command: str, options: dict, primary_out: str) -> None:
@@ -185,45 +238,13 @@ def _echo_config(command: str, options: dict, primary_out: str) -> None:
         fh.write("\n")
 
 
-def _tok_cfg(opts: dict) -> TokenizerConfig:
-    return TokenizerConfig(
-        mode=opts["tokenizer_mode"],
-        lowercase=opts["lowercase"],
-        strip_punctuation=opts["strip_punctuation"],
-    )
-
-
-def _circle_params(opts: dict) -> CircleLossParams:
-    return CircleLossParams(
-        gamma=opts["gamma"],
-        optimum_pos=opts["optimum_pos"],
-        optimum_neg=opts["optimum_neg"],
-        margin_pos=opts["margin_pos"],
-        margin_neg=opts["margin_neg"],
-        class_threshold=opts["class_threshold"],
-        mix=opts["mix"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_gen_corpus(args) -> int:
-    opts = _effective(args, _SYNTH_OPTS + [_SEED_OPT])
-    spec = SynthSpec(
-        num_articles=opts["num_articles"],
-        branches_per_article=opts["branches_per_article"],
-        keywords_per_branch=opts["keywords_per_branch"],
-        vocab_size=opts["vocab_size"],
-        cases_per_branch=opts["cases_per_branch"],
-        queries_per_branch=opts["queries_per_branch"],
-        facts_len=tuple(opts["facts_len"]),
-        holding_len=tuple(opts["holding_len"]),
-        noise_rate=opts["noise_rate"],
-        seed=opts["seed"],
-    )
-    corpus = generate(spec)
+    opts = _effective(args)
+    corpus = generate(_build(SynthSpec, args, opts))
     write_corpus(corpus, args.out)
     _echo_config("gen-corpus", opts, args.out)
     print(f"wrote {len(corpus.cases)} cases, {len(corpus.queries)} queries to {args.out}")
@@ -231,8 +252,8 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_expand_articles(args) -> int:
-    opts = _effective(args, _TOKENIZER_OPTS)
-    corpus = build_corpus(load_article_specs(args.articles), _tok_cfg(opts))
+    opts = _effective(args)
+    corpus = build_corpus(load_article_specs(args.articles), _build(TokenizerConfig, args, opts))
     with open(args.out, "w", encoding="utf-8") as fh:
         for branch in corpus.branches:
             fh.write(json.dumps({
@@ -245,9 +266,8 @@ def _cmd_expand_articles(args) -> int:
     return 0
 
 
-def _weight_table(args, opts):
+def _weight_table(args, opts, tok):
     """Branch corpus, cases and their weight table from --articles and --cases."""
-    tok = _tok_cfg(opts)
     corpus = build_corpus(load_article_specs(args.articles), tok)
     cases = load_cases(args.cases)
     index = build_index(corpus, tok, k1=opts["k1"], b=opts["b"])
@@ -255,8 +275,8 @@ def _weight_table(args, opts):
 
 
 def _cmd_weights(args) -> int:
-    opts = _effective(args, _TOKENIZER_OPTS + _BM25_OPTS)
-    _, _, table = _weight_table(args, opts)
+    opts = _effective(args)
+    _, _, table = _weight_table(args, opts, _build(TokenizerConfig, args, opts))
     table.to_csv(args.out)
     _echo_config("weights", opts, args.out)
     print(f"wrote {len(table.ids)}x{len(table.ids)} weight table to {args.out}")
@@ -264,7 +284,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    opts = _effective(args, _SAMPLE_OPTS)
+    opts = _effective(args)
     table = WeightTable.from_csv(args.weights)
     with open(args.out, "w", encoding="utf-8") as fh:
         for b in range(opts["num_batches"]):
@@ -287,12 +307,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    opts = _effective(
-        args,
-        _TOKENIZER_OPTS + _BM25_OPTS + _CIRCLE_OPTS + _ENCODER_OPTS + _TRAIN_OPTS + [_SEED_OPT],
-    )
+    opts = _effective(args)
     if opts["steps"] < 1:
         raise CliError(f"--steps must be at least 1, got {opts['steps']}")
+    tok = _build(TokenizerConfig, args, opts)
+    hp = _build(CircleLossParams, args, opts)
+    train_cfg = _build(TrainConfig, args, opts, mlm_mean=not opts["mlm_sum"],
+                       resample_quadruples=not opts["fixed_quadruples"],
+                       checkpoint_dir=os.path.join(args.out, "checkpoints"))
     if args.resume:
         done = load_checkpoint(args.resume)[2]
         if done >= opts["steps"]:
@@ -300,38 +322,16 @@ def _cmd_pretrain(args) -> int:
                 f"{args.resume} is already at step {done}; --steps {opts['steps']} leaves "
                 "no step to run"
             )
-    tok = _tok_cfg(opts)
-    corpus, cases, table = _weight_table(args, opts)
+    corpus, cases, table = _weight_table(args, opts, tok)
     vocab = enc.Vocab.build(
         [tokenize(c.facts, tok) + tokenize(c.holding, tok) + tokenize(c.decision, tok)
          for c in cases]
         + [list(br.keyword_sequence) for br in corpus.branches]
     )
-    enc_cfg = enc.EncoderConfig(
-        vocab_size=len(vocab),
-        hidden_size=opts["hidden_size"],
-        num_layers=opts["num_layers"],
-        num_heads=opts["num_heads"],
-        ffn_size=opts["ffn_size"],
-        max_len=opts["max_len"],
-        seed=opts["encoder_seed"],
-    )
+    enc_cfg = _build(enc.EncoderConfig, args, opts, vocab_size=len(vocab))
     os.makedirs(args.out, exist_ok=True)
-    train_cfg = TrainConfig(
-        steps=opts["steps"],
-        batch_quadruples=opts["batch_quadruples"],
-        learning_rate=opts["learning_rate"],
-        grad_clip=opts["grad_clip"],
-        seed=opts["seed"],
-        mask_rate=opts["mask_rate"],
-        positive_floor=opts["positive_floor"],
-        mlm_mean=not opts["mlm_sum"],
-        resample_quadruples=not opts["fixed_quadruples"],
-        checkpoint_every=opts["checkpoint_every"],
-        checkpoint_dir=os.path.join(args.out, "checkpoints"),
-    )
-    params, log = train(cases, table, vocab, tok, enc_cfg, train_cfg,
-                        hp=_circle_params(opts), resume_from=args.resume)
+    params, log = train(cases, table, vocab, tok, enc_cfg, train_cfg, hp=hp,
+                        resume_from=args.resume)
     enc.save_params(os.path.join(args.out, "encoder.params"), params, enc_cfg)
     vocab.save(os.path.join(args.out, "vocab.txt"))
     log.to_jsonl(os.path.join(args.out, "trainlog.jsonl"))
@@ -355,11 +355,11 @@ def _load_encoder(args):
 
 
 def _cmd_encode(args) -> int:
-    opts = _effective(args, _TOKENIZER_OPTS)
+    opts = _effective(args)
     params, enc_cfg, vocab = _load_encoder(args)
     cases = load_cases(args.cases)
     embeddings = embed_texts([candidate_text(c) for c in cases], params, enc_cfg, vocab,
-                             _tok_cfg(opts))
+                             _build(TokenizerConfig, args, opts))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["case_id"] + [f"dim{i}" for i in range(enc_cfg.hidden_size)])
@@ -371,9 +371,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    opts = _effective(args, _TOKENIZER_OPTS)
+    opts = _effective(args)
     params, enc_cfg, vocab = _load_encoder(args)
-    tok = _tok_cfg(opts)
+    tok = _build(TokenizerConfig, args, opts)
     queries = load_queries(args.queries)
     candidates = load_cases(args.cases)
     runs = [
@@ -388,10 +388,10 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    opts = _effective(args, _EVALUATE_OPTS)
+    opts = _effective(args)
     runs = load_run(args.run)
     qrels = QrelSet.from_tsv(args.qrels)
-    ks = tuple(int(k) for k in str(opts["ks"]).split(","))
+    ks = tuple(int(k) for k in opts["ks"].split(","))
     metrics = evaluate(runs, qrels, ks=ks, skip_unjudged=opts["skip_unjudged"])
     save_metrics(metrics, args.out)
     _echo_config("evaluate", opts, args.out)
@@ -401,11 +401,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
-    opts = _effective(args, _TOKENIZER_OPTS + _PROJECTION_OPTS)
+    opts = _effective(args)
     params, enc_cfg, vocab = _load_encoder(args)
     cases = load_cases(args.cases)
     labels = load_labels(args.labels) if args.labels else None
-    export_embeddings(cases, params, enc_cfg, vocab, _tok_cfg(opts), args.out,
+    export_embeddings(cases, params, enc_cfg, vocab, _build(TokenizerConfig, args, opts), args.out,
                       projection=opts["projection"], labels=labels)
     _echo_config("export-embeddings", opts, args.out)
     print(f"exported {len(cases)} embeddings ({opts['projection']}) to {args.out}")
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen-corpus", _cmd_gen_corpus, "generate a synthetic statute and case corpus")
     p.add_argument("--out", required=True, help="output directory")
-    _register(p, _SYNTH_OPTS + [_SEED_OPT])
+    _register(p, _SYNTH_OPTS)
 
     p = command("expand-articles", _cmd_expand_articles, "expand article specs into branches")
     p.add_argument("--articles", required=True, help="article spec JSON file")
@@ -456,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", required=True, help="case JSONL file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--resume", default=None, help="resume from a training checkpoint")
-    _register(p, _TOKENIZER_OPTS + _BM25_OPTS + _CIRCLE_OPTS + _ENCODER_OPTS + _TRAIN_OPTS
-              + [_SEED_OPT])
+    _register(p, _PRETRAIN_OPTS)
 
     p = command("encode", _cmd_encode, "write raw case embeddings as CSV")
     p.add_argument("--checkpoint", required=True, help="encoder params file")

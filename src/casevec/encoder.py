@@ -332,15 +332,11 @@ def mlm_mask(
     token_ids: list[int],
     rng: np.random.Generator,
     rate: float = 0.15,
-    bert_split: bool = False,
-    vocab_size: int | None = None,
 ) -> MaskedInstance:
     """Hide a seeded random sample of the non-special positions.
 
-    The number of positions is round(rate * maskable), at least 1. By
-    default every chosen position becomes [MASK]; with ``bert_split`` the
-    80/10/10 mask/random/keep scheme is used instead (requires
-    ``vocab_size`` for the random-replacement draw).
+    The number of positions is round(rate * maskable), at least 1, and
+    every chosen position becomes [MASK].
     """
     if not token_ids:
         raise EncoderError("cannot mask an empty sequence")
@@ -352,21 +348,10 @@ def mlm_mask(
     chosen = sorted(rng.choice(len(maskable), size=count, replace=False).tolist())
     positions = [maskable[i] for i in chosen]
     input_ids = list(token_ids)
-    targets = []
     for pos in positions:
-        targets.append(token_ids[pos])
-        if bert_split:
-            if vocab_size is None:
-                raise EncoderError("bert_split masking needs vocab_size")
-            roll = rng.random()
-            if roll < 0.8:
-                input_ids[pos] = MASK_ID
-            elif roll < 0.9:
-                input_ids[pos] = int(rng.integers(len(SPECIAL_TOKENS), vocab_size))
-            # else: keep the original token
-        else:
-            input_ids[pos] = MASK_ID
-    return MaskedInstance(input_ids=input_ids, positions=positions, target_ids=targets)
+        input_ids[pos] = MASK_ID
+    return MaskedInstance(input_ids=input_ids, positions=positions,
+                          target_ids=[token_ids[pos] for pos in positions])
 
 
 def mlm_logits(hidden: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: Params):
@@ -459,6 +444,8 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
                       for e in header["arrays"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise corrupt(f"unreadable header ({exc})") from None
+        if not isinstance(meta, dict):
+            raise corrupt(f"metadata is not an object: {meta!r}")
         arrays = {}
         for name, dtype, shape in layout:
             size = math.prod(shape) * dtype.itemsize

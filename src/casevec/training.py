@@ -64,6 +64,12 @@ class TrainConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise TrainingError(f"{f.name} must be finite, got {value}")
+        if not 0.0 <= self.mask_rate <= 1.0:
+            raise TrainingError(f"mask_rate must be in [0, 1], got {self.mask_rate}")
         if self.batch_quadruples < 1:
             raise TrainingError("batch_quadruples must be at least 1")
         if self.learning_rate <= 0:
@@ -170,7 +176,10 @@ def load_checkpoint(path):
     v = {k[len("opt.v."):]: v for k, v in arrays.items() if k.startswith("opt.v.")}
     enc_cfg = enc.config_from_meta(enc.EncoderConfig, meta.get("config"), path, TrainingError)
     train_cfg = enc.config_from_meta(TrainConfig, meta.get("train_config"), path, TrainingError)
-    return params, (m, v), meta["step"], enc_cfg, train_cfg
+    step = meta.get("step")
+    if type(step) is not int or step < 0:
+        raise TrainingError(f"{path}: stored step must be an integer >= 0, got {step!r}")
+    return params, (m, v), step, enc_cfg, train_cfg
 
 
 def train(

@@ -180,6 +180,65 @@ class TestConfigPrecedence:
         assert "unknown config keys" in capsys.readouterr().err
 
 
+class TestConfigFileValues:
+    """A --config value must be one the option's flag could have produced."""
+
+    def weights(self, corpus_dir, tmp_path, cfg):
+        return run_cli("weights", "--articles", str(corpus_dir / "articles.json"),
+                       "--cases", str(corpus_dir / "cases.jsonl"),
+                       "--out", str(tmp_path / "w.csv"), "--config", str(cfg))
+
+    @pytest.mark.parametrize("text, detail", [
+        ('{"k1": "2"}', "'k1' must be a number, got \"2\""),
+        ('{"b": true}', "'b' must be a number, got true"),
+        ('{"no_lowercase": false}', "unknown config keys ['no_lowercase']"),
+        ('{"lowercase": 0}', "'lowercase' must be true or false, got 0"),
+        ('{"tokenizer_mode": null}', "'tokenizer_mode' must be a string, got null"),
+        ("k1 = 2", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[1]", "must hold a JSON object of option values"),
+    ], ids=["string-for-float", "bool-for-float", "flag-name", "int-for-switch",
+            "null-for-string", "not-json", "not-an-object"])
+    def test_bad_value_exits_2_naming_the_file(self, tmp_path, corpus_dir, capsys,
+                                               text, detail):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert self.weights(corpus_dir, tmp_path, cfg) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {detail}\n"
+
+    @pytest.mark.parametrize("command, text, detail", [
+        ("pretrain", '{"steps": "3"}', "'steps' must be an integer, got \"3\""),
+        ("pretrain", '{"hidden_size": 16.0}', "'hidden_size' must be an integer, got 16.0"),
+        ("gen-corpus", '{"facts_len": [20]}',
+         "'facts_len' must be a list of 2 values, each an integer, got [20]"),
+        ("gen-corpus", '{"facts_len": [20, 30.0]}',
+         "'facts_len' must be a list of 2 values, each an integer, got [20, 30.0]"),
+    ])
+    def test_bad_value_of_other_commands(self, tmp_path, corpus_dir, capsys,
+                                         command, text, detail):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        inputs = {"pretrain": ["--articles", str(corpus_dir / "articles.json"),
+                               "--cases", str(corpus_dir / "cases.jsonl")],
+                  "gen-corpus": []}[command]
+        assert run_cli(command, *inputs, "--out", str(tmp_path / "out"),
+                       "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {detail}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_accepted_values_are_echoed_unchanged(self, tmp_path, corpus_dir):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"k1": 2, "b": 0.5, "lowercase": false}')
+        assert self.weights(corpus_dir, tmp_path, cfg) == 0
+        options = json.loads((tmp_path / "weights.config.json").read_text())["options"]
+        assert (options["k1"], options["b"], options["lowercase"]) == (2, 0.5, False)
+        assert type(options["k1"]) is int
+
+        cfg.write_text('{"facts_len": [20, 30], "seed": 4}')
+        assert run_cli("gen-corpus", "--out", str(tmp_path / "c"), "--config", str(cfg)) == 0
+        options = json.loads((tmp_path / "c" / "gen-corpus.config.json").read_text())["options"]
+        assert (options["facts_len"], options["seed"]) == ([20, 30], 4)
+
+
 PRETRAIN_SMALL = ("--hidden-size", "16", "--num-layers", "1", "--num-heads", "2",
                   "--ffn-size", "24", "--max-len", "64", "--seed", "3")
 
@@ -209,6 +268,26 @@ class TestPretrainWithoutSteps:
         err = capsys.readouterr().err
         assert "--steps 2" in err
         assert "already at step 2" in err
+
+
+class TestPretrainSettings:
+    @pytest.mark.parametrize("flag, value, detail", [
+        ("--mix", "nan", "mix must be finite, got nan"),
+        ("--gamma", "nan", "gamma must be finite, got nan"),
+        ("--optimum-pos", "inf", "optimum_pos must be finite, got inf"),
+        ("--class-threshold", "inf", "class_threshold must be finite, got inf"),
+        ("--learning-rate", "nan", "learning_rate must be finite, got nan"),
+        ("--grad-clip", "nan", "grad_clip must be finite, got nan"),
+        ("--positive-floor", "inf", "positive_floor must be finite, got inf"),
+        ("--mask-rate", "3", "mask_rate must be in [0, 1], got 3.0"),
+        ("--mask-rate", "-0.1", "mask_rate must be in [0, 1], got -0.1"),
+    ])
+    def test_bad_setting_exits_2_before_any_step(self, tmp_path, corpus_dir, capsys,
+                                                 flag, value, detail):
+        run_dir = tmp_path / "run"
+        assert pretrain(corpus_dir, run_dir, "--steps", "2", flag, value) == 2
+        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert not run_dir.exists()
 
 
 class TestResume:
@@ -283,6 +362,28 @@ class TestResume:
             f"error: {params}: stored EncoderConfig does not match this version: "
             "unknown fields ['dropout'], missing fields []\n"
         )
+
+
+    def test_checkpoint_without_step_exits_2(self, tmp_path, corpus_dir, ckpt, capsys):
+        arrays, meta = load_arrays(str(ckpt))
+        del meta["step"]
+        save_arrays(str(ckpt), arrays, meta)
+        code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3", "--resume", str(ckpt))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: stored step must be an integer >= 0, got None\n")
+
+    def test_params_store_whose_meta_is_not_an_object_exits_2(self, tmp_path, corpus_dir,
+                                                               ckpt, capsys):
+        params = tmp_path / "run" / "encoder.params"
+        save_arrays(str(params), load_arrays(str(params))[0], [1])
+        code = run_cli("encode", "--checkpoint", str(params),
+                       "--vocab", str(tmp_path / "run" / "vocab.txt"),
+                       "--cases", str(corpus_dir / "cases.jsonl"),
+                       "--out", str(tmp_path / "emb.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {params}: truncated or corrupt store: metadata is not an object: [1]\n")
 
 
 class TestErrorsAndHelp:

@@ -166,18 +166,6 @@ class TestMasking:
         with pytest.raises(enc.EncoderError, match="maskable"):
             enc.mlm_mask([enc.CLS_ID, enc.SEP_ID], np.random.default_rng(0))
 
-    def test_bert_split_keeps_some_tokens(self):
-        seq = self.seq(200)
-        inst = enc.mlm_mask(seq, np.random.default_rng(1), rate=0.5,
-                            bert_split=True, vocab_size=300)
-        replaced = [inst.input_ids[p] for p in inst.positions]
-        assert any(r == enc.MASK_ID for r in replaced)
-        assert any(r != enc.MASK_ID for r in replaced)
-
-    def test_bert_split_needs_vocab_size(self):
-        with pytest.raises(enc.EncoderError, match="vocab_size"):
-            enc.mlm_mask(self.seq(5), np.random.default_rng(0), bert_split=True)
-
 
 class TestMlmLoss:
     def test_certain_prediction_gives_zero(self):
