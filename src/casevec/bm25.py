@@ -89,8 +89,8 @@ def build_index(
     """
     if len(corpus) == 0:
         raise Bm25Error("cannot build an index over an empty corpus")
-    if k1 <= 0:
-        raise Bm25Error(f"k1 must be positive, got {k1}")
+    if not (math.isfinite(k1) and k1 > 0):
+        raise Bm25Error(f"k1 must be positive and finite, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise Bm25Error(f"b must be in [0, 1], got {b}")
     index = Bm25Index(k1=k1, b=b, cfg=cfg)

@@ -164,12 +164,19 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
+def _gelu_tanh_arg(x: np.ndarray) -> np.ndarray:
+    """√(2/π)·(x + 0.044715·x³). The cube is two multiplies: numpy sends
+    ``x**3`` through ``pow``, about 50× slower, and the two differ by at
+    most 1 ulp."""
+    return _GELU_C * (x + _GELU_K * (x * x * x))
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_K * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_gelu_tanh_arg(x)))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_K * x**3))
+    t = np.tanh(_gelu_tanh_arg(x))
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
 
 
@@ -377,11 +384,12 @@ def mlm_loss_and_grad(logits: np.ndarray, targets: np.ndarray, mean: bool = Fals
             f"need one logit row per masked position, got {logits.shape} vs {targets.shape}"
         )
     m = logits.max(axis=-1, keepdims=True)
-    shifted = logits - m
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + m[:, 0]
+    exp = np.exp(logits - m)
+    total = exp.sum(axis=-1, keepdims=True)
+    lse = np.log(total[:, 0]) + m[:, 0]
     picked = logits[np.arange(len(targets)), targets]
     losses = lse - picked
-    dlogits = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+    dlogits = exp / total
     dlogits[np.arange(len(targets)), targets] -= 1.0
     if mean:
         return float(losses.mean()), dlogits / len(targets)
@@ -458,11 +466,15 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def config_from_meta(cls, stored, path: str, error: type[Exception]):
-    """Rebuild the config dataclass ``cls`` from a store's metadata. The
-    stored object must name exactly the fields of ``cls`` with valid
-    values; anything else raises ``error("<path>: ...")``."""
+def config_from_meta(cls, meta: dict, key: str, path: str, error: type[Exception]):
+    """Rebuild the config dataclass ``cls`` from ``meta[key]`` of a store's
+    metadata. The key must be present and its object must name exactly the
+    fields of ``cls`` with valid values; anything else raises
+    ``error("<path>: ...")``."""
     what = f"{path}: stored {cls.__name__}"
+    if key not in meta:
+        raise error(f"{what} is missing: the metadata has no field {key!r}")
+    stored = meta[key]
     if not isinstance(stored, dict):
         raise error(f"{what} is not an object: {stored!r}")
     names = [f.name for f in fields(cls)]
@@ -485,4 +497,4 @@ def load_params(path: str) -> tuple[Params, EncoderConfig]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "encoder-params":
         raise EncoderError(f"{path}: store does not hold encoder params")
-    return arrays, config_from_meta(EncoderConfig, meta.get("config"), path, EncoderError)
+    return arrays, config_from_meta(EncoderConfig, meta, "config", path, EncoderError)

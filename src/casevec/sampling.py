@@ -9,6 +9,7 @@ the connected components of the thresholded weight graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,8 @@ def class_partition(
     Two cases connect when the weight strictly exceeds the threshold in
     either direction; labels are the connected components of that graph.
     """
+    if not math.isfinite(threshold):
+        raise SamplingError(f"class_threshold must be finite, got {threshold}")
     pos = table.positions(batch_ids)
     above = table.matrix[np.ix_(pos, pos)] > threshold
     linked = above | above.T | np.eye(len(pos), dtype=bool)

@@ -155,31 +155,34 @@ def checkpoint_arrays(params, opt: Adam):
     return arrays
 
 
-def save_checkpoint(path, params, opt: Adam, step: int, enc_cfg, train_cfg) -> None:
+def save_checkpoint(path, params, opt: Adam, step: int, enc_cfg, train_cfg, hp) -> None:
     meta = {
         "kind": "train-checkpoint",
         "version": 1,
         "step": step,
         "config": enc_cfg.to_json(),
         "train_config": asdict(train_cfg),
+        "circle_loss": asdict(hp),
     }
     enc.save_arrays(path, checkpoint_arrays(params, opt), meta)
 
 
 def load_checkpoint(path):
-    """Returns (params, opt_moments, step, encoder config, train config)."""
+    """Returns (params, opt_moments, step, encoder config, train config,
+    circle-loss params)."""
     arrays, meta = enc.load_arrays(path)
     if meta.get("kind") != "train-checkpoint":
         raise TrainingError(f"{path}: not a training checkpoint")
     params = {k: v for k, v in arrays.items() if not k.startswith("opt.")}
     m = {k[len("opt.m."):]: v for k, v in arrays.items() if k.startswith("opt.m.")}
     v = {k[len("opt.v."):]: v for k, v in arrays.items() if k.startswith("opt.v.")}
-    enc_cfg = enc.config_from_meta(enc.EncoderConfig, meta.get("config"), path, TrainingError)
-    train_cfg = enc.config_from_meta(TrainConfig, meta.get("train_config"), path, TrainingError)
+    enc_cfg = enc.config_from_meta(enc.EncoderConfig, meta, "config", path, TrainingError)
+    train_cfg = enc.config_from_meta(TrainConfig, meta, "train_config", path, TrainingError)
+    hp = enc.config_from_meta(CircleLossParams, meta, "circle_loss", path, TrainingError)
     step = meta.get("step")
     if type(step) is not int or step < 0:
         raise TrainingError(f"{path}: stored step must be an integer >= 0, got {step!r}")
-    return params, (m, v), step, enc_cfg, train_cfg
+    return params, (m, v), step, enc_cfg, train_cfg, hp
 
 
 def train(
@@ -200,10 +203,13 @@ def train(
     opt = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     start_step = 0
     if resume_from is not None:
-        params, (opt.m, opt.v), start_step, ck_enc, ck_train = load_checkpoint(resume_from)
+        params, (opt.m, opt.v), start_step, ck_enc, ck_train, ck_hp = load_checkpoint(
+            resume_from
+        )
         for what, stored, requested, skip in (
             ("encoder", ck_enc, enc_cfg, ()),
             ("train", ck_train, cfg, _RESUMABLE_FIELDS),
+            ("circle-loss", ck_hp, hp, ()),
         ):
             differing = [
                 f"{f.name} (checkpoint {getattr(stored, f.name)!r}, "
@@ -290,6 +296,6 @@ def train(
         ):
             os.makedirs(cfg.checkpoint_dir, exist_ok=True)
             last_checkpoint = os.path.join(cfg.checkpoint_dir, f"step-{step:06d}.ckpt")
-            save_checkpoint(last_checkpoint, params, opt, step, enc_cfg, cfg)
+            save_checkpoint(last_checkpoint, params, opt, step, enc_cfg, cfg, hp)
 
     return params, log

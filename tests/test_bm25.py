@@ -70,8 +70,9 @@ class TestIndexStatistics:
 
     def test_bad_parameters_rejected(self):
         corpus = corpus_from_sequences(TOY_DOCS)
-        with pytest.raises(Bm25Error, match="k1"):
-            build_index(corpus, k1=0.0)
+        for k1 in (0.0, math.nan, math.inf):
+            with pytest.raises(Bm25Error, match="k1"):
+                build_index(corpus, k1=k1)
         with pytest.raises(Bm25Error, match="b must"):
             build_index(corpus, b=1.5)
 

@@ -290,6 +290,26 @@ class TestPretrainSettings:
         assert not run_dir.exists()
 
 
+class TestNonFiniteSettings:
+    def test_weights_k1_must_be_finite(self, tmp_path, corpus_dir, capsys):
+        for value in ("nan", "inf"):
+            assert run_cli("weights", "--articles", str(corpus_dir / "articles.json"),
+                           "--cases", str(corpus_dir / "cases.jsonl"),
+                           "--out", str(tmp_path / "w.csv"), "--k1", value) == 2
+            assert capsys.readouterr().err == (
+                f"error: k1 must be positive and finite, got {value}\n")
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_sample_class_threshold_must_be_finite(self, tmp_path, corpus_dir, capsys):
+        weights = tmp_path / "w.csv"
+        assert run_cli("weights", "--articles", str(corpus_dir / "articles.json"),
+                       "--cases", str(corpus_dir / "cases.jsonl"), "--out", str(weights)) == 0
+        capsys.readouterr()
+        assert run_cli("sample", "--weights", str(weights), "--out", str(tmp_path / "b.jsonl"),
+                       "--batch-quadruples", "2", "--class-threshold", "nan") == 2
+        assert capsys.readouterr().err == "error: class_threshold must be finite, got nan\n"
+
+
 class TestResume:
     @pytest.fixture
     def ckpt(self, tmp_path, corpus_dir, capsys):
@@ -331,7 +351,9 @@ class TestResume:
         ("train_config", "warmup", 10, "unknown fields ['warmup'], missing fields []"),
         ("config", "dropout", 0.1, "unknown fields ['dropout'], missing fields []"),
         ("train_config", "seed", None, "unknown fields [], missing fields ['seed']"),
-    ], ids=["unknown-train-field", "unknown-encoder-field", "missing-train-field"])
+        ("circle_loss", "mix", None, "unknown fields [], missing fields ['mix']"),
+    ], ids=["unknown-train-field", "unknown-encoder-field", "missing-train-field",
+            "missing-circle-loss-field"])
     def test_stored_config_fields_must_match(self, tmp_path, corpus_dir, ckpt, capsys,
                                              section, key, value, detail):
         arrays, meta = load_arrays(str(ckpt))
@@ -346,6 +368,26 @@ class TestResume:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: stored ")
         assert detail in err
+
+    def test_changed_mix_exits_2(self, tmp_path, corpus_dir, ckpt, capsys):
+        code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3",
+                        "--resume", str(ckpt), "--mix", "5")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: resuming would not continue the run exactly; "
+            "circle-loss config differs: mix (checkpoint 2.718281828459045e-06, "
+            "requested 5.0)\n")
+
+    def test_checkpoint_without_circle_loss_settings_exits_2(self, tmp_path, corpus_dir,
+                                                             ckpt, capsys):
+        arrays, meta = load_arrays(str(ckpt))
+        del meta["circle_loss"]
+        save_arrays(str(ckpt), arrays, meta)
+        code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3", "--resume", str(ckpt))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: stored CircleLossParams is missing: "
+            "the metadata has no field 'circle_loss'\n")
 
     def test_encode_with_unknown_params_field_exits_2(self, tmp_path, corpus_dir, ckpt,
                                                       capsys):

@@ -22,6 +22,52 @@ def tiny_config(**overrides):
     return enc.EncoderConfig(**defaults)
 
 
+GELU_C = math.sqrt(2.0 / math.pi)
+GELU_K = 0.044715
+
+
+def gelu_reference(x):
+    """tanh-GELU of Hendrycks & Gimpel (arXiv:1606.08415), cube through pow."""
+    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_K * x**3)))
+
+
+def gelu_grad_reference(x):
+    t = np.tanh(GELU_C * (x + GELU_K * x**3))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_K * x**2)
+
+
+class TestGelu:
+    # the named points plus a seeded spread over the curved part
+    GRID = np.concatenate([
+        [0.0, 1e-8, -1e-8, 1.0, -1.0, 3.0, -3.0, 30.0, -30.0],
+        np.random.default_rng(5).normal(0.0, 2.0, 4000),
+    ])
+
+    @staticmethod
+    def assert_within_a_few_ulp(actual, expected, x):
+        # Relative 1e-15 of max(|expected|, |x|): below x ~ -2 the result is
+        # 0.5*x*(1 + tanh) with 1 + tanh cancelling, so the 1-ulp change a
+        # cube makes is large relative to the tiny result but not to x.
+        scale = np.maximum(np.abs(expected), np.abs(x))
+        assert np.all(np.abs(actual - expected) <= 1e-15 * scale)
+
+    def test_gelu_matches_pow_reference(self):
+        x = self.GRID
+        self.assert_within_a_few_ulp(enc.gelu(x), gelu_reference(x), x)
+        assert enc.gelu(np.array([0.0]))[0] == 0.0
+        assert enc.gelu(np.array([30.0]))[0] == 30.0
+
+    def test_gelu_grad_matches_pow_reference(self):
+        x = self.GRID
+        self.assert_within_a_few_ulp(enc.gelu_grad(x), gelu_grad_reference(x), x)
+        assert enc.gelu_grad(np.array([0.0]))[0] == 0.5
+
+    def test_gelu_grad_matches_finite_differences(self):
+        x, h = self.GRID, 1e-5
+        numeric = (enc.gelu(x + h) - enc.gelu(x - h)) / (2 * h)
+        np.testing.assert_allclose(enc.gelu_grad(x), numeric, rtol=1e-7, atol=1e-9)
+
+
 class TestVocab:
     def test_build_puts_specials_first_then_sorted(self):
         vocab = enc.Vocab.build([["beta", "alpha"], ["alpha", "gamma"]])
@@ -334,7 +380,7 @@ class TestParameterStore:
          "does not match this version: unknown fields [], missing fields ['vocab_size']"),
         (lambda m: m["config"].update(hidden_size=0), "is invalid: all encoder sizes"),
         (lambda m: m["config"].update(hidden_size="64"), "is invalid: "),
-        (lambda m: m.pop("config"), "is not an object: None"),
+        (lambda m: m.pop("config"), "is missing: the metadata has no field 'config'"),
     ], ids=["unknown", "missing", "zero-size", "str-size", "absent"])
     def test_stored_config_must_name_its_fields(self, tmp_path, edit, detail):
         cfg = tiny_config()

@@ -1,5 +1,7 @@
 """Positive sampling, batch assembly, and the thresholded class partition."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,12 @@ class TestClassPartition:
         assert closure_partition_reference(
             4, lambda i, j: matrix[i, j] > 0.25
         ) == part.labels
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        table = table_of(np.eye(2), ["a", "b"])
+        with pytest.raises(SamplingError, match="class_threshold must be finite"):
+            class_partition(["a", "b"], table, threshold)
 
     def test_missing_weight_rejected(self):
         table = table_of(np.eye(2), ["a", "b"])
