@@ -286,21 +286,25 @@ def _cmd_weights(args) -> int:
 def _cmd_sample(args) -> int:
     opts = _effective(args)
     table = WeightTable.from_csv(args.weights)
+    lines = []
+    for b in range(opts["num_batches"]):
+        rng = np.random.default_rng([opts["seed"], b + 1])
+        quads = sample_quadruples(table, opts["batch_quadruples"], rng,
+                                  floor=opts["positive_floor"])
+        batch_ids = build_batch(quads)
+        partition = class_partition(batch_ids, table, opts["class_threshold"])
+        lines.append(json.dumps({
+            "batch_index": b,
+            "case_ids": batch_ids,
+            "class_labels": partition.labels,
+            "anchor_ids": [q.anchor_id for q in quads],
+            "positive_ids": [q.positive_id for q in quads],
+            "quadruple_weights": [q.weight for q in quads],
+        }, sort_keys=True) + "\n")
+    # every batch is drawn before --out is opened, so a failed draw leaves
+    # an existing manifest as it was
     with open(args.out, "w", encoding="utf-8") as fh:
-        for b in range(opts["num_batches"]):
-            rng = np.random.default_rng([opts["seed"], b + 1])
-            quads = sample_quadruples(table, opts["batch_quadruples"], rng,
-                                      floor=opts["positive_floor"])
-            batch_ids = build_batch(quads)
-            partition = class_partition(batch_ids, table, opts["class_threshold"])
-            fh.write(json.dumps({
-                "batch_index": b,
-                "case_ids": batch_ids,
-                "class_labels": partition.labels,
-                "anchor_ids": [q.anchor_id for q in quads],
-                "positive_ids": [q.positive_id for q in quads],
-                "quadruple_weights": [q.weight for q in quads],
-            }, sort_keys=True) + "\n")
+        fh.writelines(lines)
     _echo_config("sample", opts, args.out)
     print(f"wrote {opts['num_batches']} batch manifests to {args.out}")
     return 0

@@ -299,17 +299,57 @@ def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) ->
     return grads
 
 
+def _cls_states(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfig):
+    """Final [CLS] hidden states of one padded batch, keeping no backward
+    cache. Every layer but the last runs as in ``forward``. The last one
+    still takes keys and values over all positions, but runs its query,
+    attention row, output projection, FFN and the final layer norm for
+    position 0 only: no other row reaches the embedding."""
+    l = ids.shape[1]
+    scale = 1.0 / math.sqrt(cfg.hidden_size // cfg.num_heads)
+    bias = np.where(valid[:, None, None, :], 0.0, -np.inf)
+    x = params["tok_emb"][ids] + params["pos_emb"][:l]
+    for i in range(cfg.num_layers):
+        p = f"layers.{i}."
+        h1, _ = layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"], cfg.layer_norm_eps)
+        if i == cfg.num_layers - 1:
+            x, h1_q = x[:, :1], h1[:, :1]
+        else:
+            h1_q = h1
+        q = _split_heads(h1_q @ params[p + "attn.wq"] + params[p + "attn.bq"], cfg.num_heads)
+        k = _split_heads(h1 @ params[p + "attn.wk"] + params[p + "attn.bk"], cfg.num_heads)
+        v = _split_heads(h1 @ params[p + "attn.wv"] + params[p + "attn.bv"], cfg.num_heads)
+        ctx = _merge_heads(_softmax_masked(q @ k.swapaxes(-1, -2) * scale + bias) @ v)
+        x = x + ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
+        h2, _ = layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"], cfg.layer_norm_eps)
+        u = h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
+        x = x + gelu(u) @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+    return layer_norm(x[:, 0], params["ln_f.g"], params["ln_f.b"], cfg.layer_norm_eps)[0]
+
+
+# Sequences per inference pass. Fixed, not an option: an embedding depends
+# on its batch-mates at about 1e-15 (padding length, BLAS blocking), so a
+# fixed chunk keeps re-runs byte-identical.
+ENCODE_CHUNK = 4
+
+
 def encode(sequences: list[list[int]], params: Params, cfg: EncoderConfig) -> np.ndarray:
     """Case embeddings: the final hidden state of each sequence's first
     ([CLS]) position. Deterministic for fixed params and inputs;
     over-length sequences are truncated with a warning, keeping the
-    leading position."""
+    leading position. Runs ``ENCODE_CHUNK`` sequences at a time through
+    ``_cls_states``, so memory does not grow with the number of sequences;
+    the result equals ``forward(...)[0][:, 0]`` to about 1e-15."""
+    if not sequences:
+        raise EncoderError("empty batch")
     if any(len(seq) > cfg.max_len for seq in sequences):
         LOGGER.warning("truncating over-length sequences to max_len %d", cfg.max_len)
         sequences = [seq[: cfg.max_len] for seq in sequences]
-    ids, valid = pad_batch(sequences)
-    hidden, _ = forward(ids, valid, params, cfg)
-    return hidden[:, 0, :]
+    out = np.empty((len(sequences), cfg.hidden_size))
+    for start in range(0, len(sequences), ENCODE_CHUNK):
+        ids, valid = pad_batch(sequences[start:start + ENCODE_CHUNK])
+        out[start:start + len(ids)] = _cls_states(ids, valid, params, cfg)
+    return out
 
 
 def build_input_ids(tokens: list[str], vocab: Vocab, cfg: EncoderConfig) -> list[int]:

@@ -101,6 +101,8 @@ def sample_quadruples(
     """
     if n < 1:
         raise SamplingError(f"need at least one quadruple, got n={n}")
+    if not math.isfinite(floor):
+        raise SamplingError(f"positive_floor must be finite, got {floor}")
     pool = [table.ids[i] for i in np.flatnonzero(_eligible(table, floor).any(axis=1))]
     if len(pool) < n:
         raise SamplingError(

@@ -309,6 +309,28 @@ class TestNonFiniteSettings:
                        "--batch-quadruples", "2", "--class-threshold", "nan") == 2
         assert capsys.readouterr().err == "error: class_threshold must be finite, got nan\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sample_positive_floor_must_be_finite(self, tmp_path, corpus_dir, capsys, value):
+        weights = tmp_path / "w.csv"
+        assert run_cli("weights", "--articles", str(corpus_dir / "articles.json"),
+                       "--cases", str(corpus_dir / "cases.jsonl"), "--out", str(weights)) == 0
+        capsys.readouterr()
+        assert run_cli("sample", "--weights", str(weights), "--out", str(tmp_path / "b.jsonl"),
+                       "--batch-quadruples", "2", "--positive-floor", value) == 2
+        assert capsys.readouterr().err == f"error: positive_floor must be finite, got {value}\n"
+
+    def test_failed_sample_leaves_existing_manifest(self, tmp_path, corpus_dir, capsys):
+        weights = tmp_path / "w.csv"
+        assert run_cli("weights", "--articles", str(corpus_dir / "articles.json"),
+                       "--cases", str(corpus_dir / "cases.jsonl"), "--out", str(weights)) == 0
+        manifest = tmp_path / "b.jsonl"
+        manifest.write_text("existing")
+        capsys.readouterr()
+        assert run_cli("sample", "--weights", str(weights), "--out", str(manifest),
+                       "--batch-quadruples", "100") == 2
+        assert "cannot draw 100 anchors" in capsys.readouterr().err
+        assert manifest.read_text() == "existing"
+
 
 class TestResume:
     @pytest.fixture

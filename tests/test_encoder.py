@@ -6,6 +6,7 @@ masked-token logits and the first-position embedding).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,99 @@ class TestForward:
         _, (xhat, _) = enc.layer_norm(x, np.ones(16), np.zeros(16), eps=1e-5)
         assert np.abs(xhat.mean(axis=-1)).max() < 1e-6
         assert np.abs(xhat.var(axis=-1) - 1.0).max() < 1e-6
+
+
+def spread_params(cfg, seed=0):
+    """Params drawn at a wide scale, so attention is far from uniform and
+    the padding mask and every layer change the [CLS] state."""
+    rng = np.random.default_rng(seed)
+    return {name: rng.normal(0.0, 0.5, arr.shape) for name, arr in enc.init_params(cfg).items()}
+
+
+def random_sequences(n, cfg, seed=0, lengths=None):
+    """[CLS] body [SEP] sequences of mixed lengths in [2, max_len]."""
+    rng = np.random.default_rng(seed)
+    if lengths is None:
+        lengths = rng.integers(2, cfg.max_len + 1, size=n)
+    return [[enc.CLS_ID] + rng.integers(len(enc.SPECIAL_TOKENS), cfg.vocab_size,
+                                        size=length - 2).tolist() + [enc.SEP_ID]
+            for length in lengths]
+
+
+def forward_cls_rows(sequences, params, cfg):
+    """The oracle: the training forward over one padded batch, [CLS] rows."""
+    ids, valid = enc.pad_batch(sequences)
+    return enc.forward(ids, valid, params, cfg)[0][:, 0]
+
+
+class TestEncode:
+    """``encode`` against the [CLS] rows of the training ``forward``."""
+
+    @staticmethod
+    def config(**overrides):
+        defaults = dict(vocab_size=23, hidden_size=8, num_layers=2, num_heads=2,
+                        ffn_size=12, max_len=16, seed=4)
+        defaults.update(overrides)
+        return enc.EncoderConfig(**defaults)
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_matches_forward_for_every_depth(self, num_layers):
+        cfg = self.config(num_layers=num_layers)
+        params = spread_params(cfg, seed=num_layers)
+        seqs = random_sequences(2 * enc.ENCODE_CHUNK + 1, cfg, seed=num_layers)
+        expected = forward_cls_rows(seqs, params, cfg)
+        assert np.abs(enc.encode(seqs, params, cfg) - expected).max() <= 1e-12
+
+    def test_mixed_lengths_with_padding(self):
+        cfg = self.config()
+        params = spread_params(cfg)
+        # every length from 2 to max_len, shuffled, so each chunk pads to
+        # a different length and most rows carry padding
+        lengths = np.random.default_rng(1).permutation(np.arange(2, cfg.max_len + 1))
+        seqs = random_sequences(len(lengths), cfg, seed=1, lengths=lengths)
+        out = enc.encode(seqs, params, cfg)
+        assert np.abs(out - forward_cls_rows(seqs, params, cfg)).max() <= 1e-12
+        # and each row equals the sequence embedded on its own, unpadded
+        alone = np.concatenate([forward_cls_rows([seq], params, cfg) for seq in seqs])
+        assert np.abs(out - alone).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, enc.ENCODE_CHUNK - 1, enc.ENCODE_CHUNK,
+                                   enc.ENCODE_CHUNK + 1, 3 * enc.ENCODE_CHUNK + 2])
+    def test_every_chunk_boundary(self, n):
+        cfg = self.config()
+        params = spread_params(cfg)
+        seqs = random_sequences(n, cfg, seed=n)
+        out = enc.encode(seqs, params, cfg)
+        assert out.shape == (n, cfg.hidden_size)
+        assert np.abs(out - forward_cls_rows(seqs, params, cfg)).max() <= 1e-12
+
+    def test_repeat_calls_are_bit_identical(self):
+        cfg = self.config()
+        params = spread_params(cfg)
+        seqs = random_sequences(3 * enc.ENCODE_CHUNK + 2, cfg)
+        assert np.array_equal(enc.encode(seqs, params, cfg), enc.encode(seqs, params, cfg))
+
+    def test_empty_list_rejected(self):
+        cfg = self.config()
+        with pytest.raises(enc.EncoderError, match="empty batch"):
+            enc.encode([], enc.init_params(cfg), cfg)
+
+    def test_peak_memory_does_not_grow_with_the_number_of_sequences(self):
+        cfg = enc.EncoderConfig(vocab_size=40, seed=2)
+        params = enc.init_params(cfg)
+        lengths = [cfg.max_len] * (8 * enc.ENCODE_CHUNK)
+        seqs = random_sequences(len(lengths), cfg, lengths=lengths)
+
+        def peak_bytes(batch):
+            tracemalloc.start()
+            try:
+                enc.encode(batch, params, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak_bytes(seqs[: enc.ENCODE_CHUNK])
+        assert peak_bytes(seqs) <= 1.5 * one_chunk
 
 
 class TestMasking:

@@ -233,11 +233,18 @@ class TestRank:
         assert a == b
 
 
-def joint_rank_reference(query, candidates, params, cfg, vocab, tok):
+def forward_embed_texts(texts, params, cfg, vocab, tok):
+    """[CLS] rows of the training forward over one padded batch."""
+    ids, valid = enc.pad_batch([enc.build_input_ids(tokenize(t, tok), vocab, cfg)
+                                for t in texts])
+    return enc.forward(ids, valid, params, cfg)[0][:, 0]
+
+
+def joint_rank_reference(query, candidates, params, cfg, vocab, tok, embed=embed_texts):
     """Ranking by one joint batch of the query and every candidate, the
     path that embedded the whole pool again for each query."""
     texts = [query.facts] + [candidate_text(c) for c in candidates]
-    embeddings = embed_texts(texts, params, cfg, vocab, tok)
+    embeddings = embed(texts, params, cfg, vocab, tok)
     norms = np.linalg.norm(embeddings, axis=1)
     unit = embeddings / np.where(norms == 0.0, 1.0, norms)[:, None]
     sims = unit[1:] @ unit[0]
@@ -279,8 +286,9 @@ def embedded_rows(monkeypatch):
     return rows
 
 
-def assert_matches_reference(run, query, candidates, params, cfg, vocab, tok=TOK):
-    expected = joint_rank_reference(query, candidates, params, cfg, vocab, tok)
+def assert_matches_reference(run, query, candidates, params, cfg, vocab, tok=TOK,
+                             embed=embed_texts):
+    expected = joint_rank_reference(query, candidates, params, cfg, vocab, tok, embed)
     assert [cid for cid, _ in run.ranking] == [cid for cid, _ in expected]
     for (_, got), (_, want) in zip(run.ranking, expected):
         assert abs(got - want) <= 1e-12
@@ -294,6 +302,13 @@ class TestPoolMemo:
             run = rank(query, CandidatePool(query.query_id, corpus.cases), params, cfg, vocab, TOK)
             assert_matches_reference(run, query, corpus.cases, params, cfg, vocab)
         assert embedded_rows == [n] + [1] * len(corpus.queries)
+
+    def test_every_query_matches_the_training_forward(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        for query in corpus.queries:
+            run = rank(query, CandidatePool(query.query_id, corpus.cases), params, cfg, vocab, TOK)
+            assert_matches_reference(run, query, corpus.cases, params, cfg, vocab,
+                                     embed=forward_embed_texts)
 
     def test_equal_content_hits_across_new_objects(self, trained, embedded_rows):
         corpus, params, cfg, vocab = trained

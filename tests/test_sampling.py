@@ -125,6 +125,14 @@ class TestSampleQuadruples:
         with pytest.raises(SamplingError, match="eligible positive"):
             sample_quadruples(table, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("floor, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                              (-math.inf, "-inf")])
+    def test_non_finite_floor_rejected(self, floor, shown):
+        table = table_of(np.full((6, 6), 0.7))
+        with pytest.raises(SamplingError) as info:
+            sample_quadruples(table, 2, np.random.default_rng(0), floor=floor)
+        assert str(info.value) == f"positive_floor must be finite, got {shown}"
+
     def test_deterministic(self):
         table = table_of(np.full((10, 10), 0.7))
         q1 = sample_quadruples(table, 3, np.random.default_rng(9))
