@@ -120,8 +120,7 @@ def loss_gradient(
     if eligible == 0:
         return 0.0, np.zeros_like(embeddings, dtype=np.float64)
 
-    idx = table.positions(partition.case_ids)
-    w = table.matrix[np.ix_(idx, idx)]
+    w = table.block(partition.case_ids)
     w = np.maximum(w, w.T)
     ap = alpha_pos(w, sims, hp)
     an = alpha_neg(sims, hp)

@@ -214,41 +214,47 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, nh * dh)
 
 
-def forward(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfig):
-    """Full forward pass; returns final hidden states and a backward cache.
-
-    Padding positions are excluded from attention with an additive -inf
-    bias, so they receive no weight and contribute no gradient.
-    """
-    b, l = ids.shape
+def _embed(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfig):
+    """Token plus position embeddings of a padded batch, the attention scale,
+    and the additive -inf bias that keeps padded keys out of attention."""
+    l = ids.shape[1]
     if l > cfg.max_len:
         raise EncoderError(f"sequence length {l} exceeds max_len {cfg.max_len}")
     scale = 1.0 / math.sqrt(cfg.hidden_size // cfg.num_heads)
     bias = np.where(valid[:, None, None, :], 0.0, -np.inf)
-    x = params["tok_emb"][ids] + params["pos_emb"][:l]
+    return params["tok_emb"][ids] + params["pos_emb"][:l], scale, bias
+
+
+def _block(x, scale, bias, params: Params, cfg: EncoderConfig, i: int, rows=slice(None)):
+    """Transformer block ``i``. Keys and values span every position of ``x``;
+    queries, the residual, ``ln2`` and the FFN run for the positions ``rows``
+    only. Returns the output at ``rows`` and the intermediates ``backward`` reads."""
+    p = f"layers.{i}."
+    h1, ln1_cache = layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"], cfg.layer_norm_eps)
+    q = _split_heads(h1[:, rows] @ params[p + "attn.wq"] + params[p + "attn.bq"], cfg.num_heads)
+    k = _split_heads(h1 @ params[p + "attn.wk"] + params[p + "attn.bk"], cfg.num_heads)
+    v = _split_heads(h1 @ params[p + "attn.wv"] + params[p + "attn.bv"], cfg.num_heads)
+    attn = _softmax_masked(q @ k.swapaxes(-1, -2) * scale + bias)
+    ctx = _merge_heads(attn @ v)
+    x1 = x[:, rows] + ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
+    h2, ln2_cache = layer_norm(x1, params[p + "ln2.g"], params[p + "ln2.b"], cfg.layer_norm_eps)
+    u = h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
+    g = gelu(u)
+    x_out = x1 + g @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+    return x_out, {"x_in": x, "h1": h1, "ln1": ln1_cache, "q": q, "k": k, "v": v, "attn": attn,
+                   "ctx": ctx, "x1": x1, "h2": h2, "ln2": ln2_cache, "u": u, "g": g}
+
+
+def forward(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfig):
+    """Full forward pass; returns final hidden states and a backward cache."""
+    x, scale, bias = _embed(ids, valid, params, cfg)
     layers = []
     for i in range(cfg.num_layers):
-        p = f"layers.{i}."
-        h1, ln1_cache = layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"], cfg.layer_norm_eps)
-        q = _split_heads(h1 @ params[p + "attn.wq"] + params[p + "attn.bq"], cfg.num_heads)
-        k = _split_heads(h1 @ params[p + "attn.wk"] + params[p + "attn.bk"], cfg.num_heads)
-        v = _split_heads(h1 @ params[p + "attn.wv"] + params[p + "attn.bv"], cfg.num_heads)
-        attn_probs = _softmax_masked(q @ k.swapaxes(-1, -2) * scale + bias)
-        ctx = _merge_heads(attn_probs @ v)
-        x1 = x + ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        h2, ln2_cache = layer_norm(x1, params[p + "ln2.g"], params[p + "ln2.b"], cfg.layer_norm_eps)
-        u = h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
-        g = gelu(u)
-        x_out = x1 + g @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-        layers.append(
-            {"x_in": x, "h1": h1, "ln1": ln1_cache, "q": q, "k": k, "v": v,
-             "attn": attn_probs, "ctx": ctx, "x1": x1, "h2": h2, "ln2": ln2_cache,
-             "u": u, "g": g}
-        )
-        x = x_out
+        x, lay = _block(x, scale, bias, params, cfg, i)
+        layers.append(lay)
     hidden, lnf_cache = layer_norm(x, params["ln_f.g"], params["ln_f.b"], cfg.layer_norm_eps)
-    cache = {"ids": ids, "scale": scale, "layers": layers, "lnf": lnf_cache, "length": l}
-    return hidden, cache
+    return hidden, {"ids": ids, "scale": scale, "layers": layers, "lnf": lnf_cache,
+                    "length": ids.shape[1]}
 
 
 def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) -> Params:
@@ -301,29 +307,12 @@ def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) ->
 
 def _cls_states(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfig):
     """Final [CLS] hidden states of one padded batch, keeping no backward
-    cache. Every layer but the last runs as in ``forward``. The last one
-    still takes keys and values over all positions, but runs its query,
-    attention row, output projection, FFN and the final layer norm for
-    position 0 only: no other row reaches the embedding."""
-    l = ids.shape[1]
-    scale = 1.0 / math.sqrt(cfg.hidden_size // cfg.num_heads)
-    bias = np.where(valid[:, None, None, :], 0.0, -np.inf)
-    x = params["tok_emb"][ids] + params["pos_emb"][:l]
+    cache. The last block runs for position 0 only: no other row reaches
+    the embedding."""
+    x, scale, bias = _embed(ids, valid, params, cfg)
     for i in range(cfg.num_layers):
-        p = f"layers.{i}."
-        h1, _ = layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"], cfg.layer_norm_eps)
-        if i == cfg.num_layers - 1:
-            x, h1_q = x[:, :1], h1[:, :1]
-        else:
-            h1_q = h1
-        q = _split_heads(h1_q @ params[p + "attn.wq"] + params[p + "attn.bq"], cfg.num_heads)
-        k = _split_heads(h1 @ params[p + "attn.wk"] + params[p + "attn.bk"], cfg.num_heads)
-        v = _split_heads(h1 @ params[p + "attn.wv"] + params[p + "attn.bv"], cfg.num_heads)
-        ctx = _merge_heads(_softmax_masked(q @ k.swapaxes(-1, -2) * scale + bias) @ v)
-        x = x + ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        h2, _ = layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"], cfg.layer_norm_eps)
-        u = h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
-        x = x + gelu(u) @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+        rows = slice(0, 1) if i == cfg.num_layers - 1 else slice(None)
+        x = _block(x, scale, bias, params, cfg, i, rows)[0]
     return layer_norm(x[:, 0], params["ln_f.g"], params["ln_f.b"], cfg.layer_norm_eps)[0]
 
 

@@ -310,6 +310,8 @@ def load_queries(path: str) -> list[QueryCase]:
                 raise EvaluationError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
             query.validate()
             queries.append(query)
+    if not queries:
+        raise EvaluationError(f"{path}: holds no query")
     return queries
 
 

@@ -105,7 +105,8 @@ def weight(
 
 
 class WeightTable:
-    """Relevance weights for all ordered case pairs, with CSV round-trip."""
+    """Relevance weights for all ordered case pairs, with CSV round-trip.
+    Other modules read weights only through its methods, never the matrix."""
 
     def __init__(self, ids: list[str], matrix: np.ndarray):
         if matrix.shape != (len(ids), len(ids)):
@@ -117,27 +118,38 @@ class WeightTable:
     def get(self, source_id: str, target_id: str) -> float:
         return float(self.matrix[self._pos[source_id], self._pos[target_id]])
 
-    def positions(self, ids: list[str]) -> np.ndarray:
-        """Row indices of the given case ids."""
-        return np.array([self._pos[cid] for cid in ids], dtype=np.int64)
+    def block(self, ids: list[str]) -> np.ndarray:
+        """The B×B weights among ``ids``: entry (a, b) is ``get(ids[a], ids[b])``."""
+        pos = [self._pos[cid] for cid in ids]
+        return self.matrix[np.ix_(pos, pos)]
 
-    def rows(self):
-        for i, src in enumerate(self.ids):
-            for j, tgt in enumerate(self.ids):
-                yield RelevanceWeight(src, tgt, float(self.matrix[i, j]))
+    def positives(self, anchor_id: str, floor: float) -> tuple[list[str], np.ndarray]:
+        """The ids whose weight from the anchor is at least ``floor``, the
+        anchor excluded, in table order, with those weights."""
+        i = self._pos[anchor_id]
+        eligible = self.matrix[i] >= floor
+        eligible[i] = False
+        cand = np.flatnonzero(eligible)
+        return [self.ids[j] for j in cand], self.matrix[i, cand]
+
+    def anchors(self, floor: float) -> list[str]:
+        """The ids, in table order, that have at least one positive at ``floor``."""
+        eligible = self.matrix >= floor
+        np.fill_diagonal(eligible, False)
+        return [self.ids[i] for i in np.flatnonzero(eligible.any(axis=1))]
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["source_id", "target_id", "value"])
-            for row in self.rows():
-                writer.writerow([row.source_id, row.target_id, repr(row.value)])
+            for src, row in zip(self.ids, self.matrix):
+                writer.writerows([src, tgt, repr(w)] for tgt, w in zip(self.ids, row.tolist()))
 
     @classmethod
     def from_csv(cls, path: str) -> "WeightTable":
         values: dict[tuple[str, str], float] = {}
-        ids: list[str] = []
-        seen: set[str] = set()
+        sources: dict[str, None] = {}  # in order of first appearance
+        pending: dict[str, int] = {}  # first line of each target read before it was a source
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -156,14 +168,18 @@ class WeightTable:
                     raise RelevanceError(
                         f"{path}:{reader.line_num}: weight {val!r} is not in [0, 1]"
                     )
-                if src not in seen:
-                    seen.add(src)
-                    ids.append(src)
+                sources.setdefault(src)
+                if tgt not in sources:
+                    pending.setdefault(tgt, reader.line_num)
                 if (src, tgt) in values:
                     raise RelevanceError(
                         f"{path}:{reader.line_num}: duplicate pair ({src!r}, {tgt!r})"
                     )
                 values[(src, tgt)] = value
+        for tgt, line in pending.items():
+            if tgt not in sources:
+                raise RelevanceError(f"{path}:{line}: target {tgt!r} is not a source id")
+        ids = list(sources)
         matrix = np.zeros((len(ids), len(ids)), dtype=np.float64)
         for i, src in enumerate(ids):
             for j, tgt in enumerate(ids):
@@ -219,6 +235,8 @@ def load_cases(path: str) -> list[CaseDocument]:
                 raise RelevanceError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
             case.validate()
             cases.append(case)
+    if not cases:
+        raise RelevanceError(f"{path}: holds no case")
     return cases
 
 

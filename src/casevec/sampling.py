@@ -48,15 +48,6 @@ class BatchPartition:
     threshold: float
 
 
-def _eligible(table: WeightTable, floor: float, rows=slice(None)) -> np.ndarray:
-    """Eligible positives of the anchor rows (all by default): weight >=
-    floor, not the anchor itself."""
-    mask = table.matrix[rows] >= floor
-    anchors = np.arange(len(table.ids))[rows]
-    mask[np.arange(len(anchors)), anchors] = False
-    return mask
-
-
 def sample_positive(
     anchor_id: str,
     table: WeightTable,
@@ -70,18 +61,17 @@ def sample_positive(
     already used in the batch. Candidates keep the order of ``table.ids``,
     so the draw is deterministic for a given generator state.
     """
-    row = table.positions([anchor_id])
-    cand = np.flatnonzero(_eligible(table, floor, row)[0])
+    cand, weights = table.positives(anchor_id, floor)
     if exclude:
-        cand = cand[np.array([table.ids[i] not in exclude for i in cand], dtype=bool)]
-    if not len(cand):
+        keep = [j for j, cid in enumerate(cand) if cid not in exclude]
+        cand, weights = [cand[j] for j in keep], weights[keep]
+    if not cand:
         raise NoPositiveAvailable(f"no positive available for anchor {anchor_id!r}")
-    weights = table.matrix[row[0], cand].astype(np.float64)
     total = weights.sum()
     if total <= 0.0:
         raise NoPositiveAvailable(f"all candidate weights are zero for anchor {anchor_id!r}")
     pick = int(rng.choice(len(cand), p=weights / total))
-    return table.ids[cand[pick]], float(weights[pick])
+    return cand[pick], float(weights[pick])
 
 
 def sample_quadruples(
@@ -103,7 +93,7 @@ def sample_quadruples(
         raise SamplingError(f"need at least one quadruple, got n={n}")
     if not math.isfinite(floor):
         raise SamplingError(f"positive_floor must be finite, got {floor}")
-    pool = [table.ids[i] for i in np.flatnonzero(_eligible(table, floor).any(axis=1))]
+    pool = table.anchors(floor)
     if len(pool) < n:
         raise SamplingError(
             f"only {len(pool)} cases have an eligible positive; cannot draw {n} anchors"
@@ -151,14 +141,14 @@ def class_partition(
     """
     if not math.isfinite(threshold):
         raise SamplingError(f"class_threshold must be finite, got {threshold}")
-    pos = table.positions(batch_ids)
-    above = table.matrix[np.ix_(pos, pos)] > threshold
-    linked = above | above.T | np.eye(len(pos), dtype=bool)
+    n = len(batch_ids)
+    above = table.block(batch_ids) > threshold
+    linked = above | above.T | np.eye(n, dtype=bool)
     # each case takes the lowest root among its links until nothing moves;
     # every component then carries its smallest member position
-    roots = np.arange(len(pos))
+    roots = np.arange(n)
     while True:
-        lowest = np.where(linked, roots, len(pos)).min(axis=1, initial=len(pos))
+        lowest = np.where(linked, roots, n).min(axis=1, initial=n)
         if np.array_equal(lowest, roots):
             break
         roots = lowest

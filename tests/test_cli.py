@@ -332,6 +332,39 @@ class TestNonFiniteSettings:
         assert manifest.read_text() == "existing"
 
 
+MODEL = ("--checkpoint", "PARAMS", "--vocab", "VOCAB")
+
+
+class TestEmptyInputs:
+    """A case or query file that holds nothing ends in exit 2 naming it,
+    before any output is written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["weights", "--articles", "ARTICLES", "--cases", "EMPTY"], "holds no case"),
+        (["pretrain", "--articles", "ARTICLES", "--cases", "EMPTY", *PRETRAIN_SMALL],
+         "holds no case"),
+        (["encode", *MODEL, "--cases", "EMPTY"], "holds no case"),
+        (["export-embeddings", *MODEL, "--cases", "EMPTY"], "holds no case"),
+        (["rank", *MODEL, "--queries", "QUERIES", "--cases", "EMPTY"], "holds no case"),
+        (["rank", *MODEL, "--queries", "EMPTY", "--cases", "CASES"], "holds no query"),
+    ], ids=["weights", "pretrain", "encode", "export-embeddings", "rank-cases", "rank-queries"])
+    def test_empty_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, message):
+        model = tmp_path / "run"
+        if "PARAMS" in argv:
+            assert pretrain(corpus_dir, model, "--steps", "1") == 0
+            capsys.readouterr()
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        paths = {"ARTICLES": corpus_dir / "articles.json", "CASES": corpus_dir / "cases.jsonl",
+                 "QUERIES": corpus_dir / "queries.jsonl", "EMPTY": empty,
+                 "PARAMS": model / "encoder.params", "VOCAB": model / "vocab.txt"}
+        out = tmp_path / "out"
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        assert run_cli(*argv, "--out", str(out / "result")) == 2
+        assert capsys.readouterr().err == f"error: {empty}: {message}\n"
+        assert not out.exists()
+
+
 class TestResume:
     @pytest.fixture
     def ckpt(self, tmp_path, corpus_dir, capsys):

@@ -445,6 +445,13 @@ class TestFileFormats:
         save_queries(queries, str(path))
         assert load_queries(str(path)) == queries
 
+    def test_file_of_blank_lines_holds_no_query(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n  \n")
+        with pytest.raises(EvaluationError) as excinfo:
+            load_queries(str(path))
+        assert str(excinfo.value) == f"{path}: holds no query"
+
     def test_run_round_trip(self, tmp_path):
         runs = [ranked("q1", [("a", 0.9), ("b", 0.5)]), ranked("q2", [("b", 0.1)])]
         path = tmp_path / "run.tsv"

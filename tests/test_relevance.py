@@ -1,8 +1,12 @@
 """Relevance weights: argmax agreement, cosine fallback, directionality."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import casevec
 from casevec.bm25 import SimilarityProfile
 from casevec.cli import main as cli_main
 from casevec.relevance import (
@@ -186,6 +190,7 @@ class TestPairwiseWeights:
         ("a,b,7", "not in [0, 1]"),
         ("a,b,-0.5", "not in [0, 1]"),
         ("a,a,0.5", "duplicate pair"),
+        ("a,zzz,0.7", "target 'zzz' is not a source id"),
     ])
     def test_bad_csv_row_names_path_and_line(self, tmp_path, capsys, bad_row, message):
         path = tmp_path / "weights.csv"
@@ -198,6 +203,98 @@ class TestPairwiseWeights:
         code = cli_main(["sample", "--weights", str(path), "--out", str(tmp_path / "b.jsonl")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
+
+
+def random_table(seed, n=9):
+    """Weights on a 0.1 grid, so many equal a floor exactly, and ids whose
+    table order is not their sorted order."""
+    rng = np.random.default_rng(seed)
+    ids = [f"c{k}" for k in rng.permutation(n)]
+    return WeightTable(ids, rng.integers(0, 11, (n, n)) / 10.0)
+
+
+FLOORS = [0.0, 0.3, 0.5, 1.0]
+
+
+class TestWeightTableAccessors:
+    """``block``, ``positives`` and ``anchors`` against loops over ``get``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_matches_get(self, seed):
+        table = random_table(seed)
+        rng = np.random.default_rng(100 + seed)
+        for size in (1, 4, len(table.ids)):
+            ids = [table.ids[k] for k in rng.choice(len(table.ids), size, replace=False)]
+            expected = [[table.get(a, b) for b in ids] for a in ids]
+            assert table.block(ids).tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_positives_match_get(self, seed):
+        table = random_table(seed)
+        for floor in FLOORS:
+            for anchor in table.ids:
+                expected = [(other, table.get(anchor, other)) for other in table.ids
+                            if other != anchor and table.get(anchor, other) >= floor]
+                ids, weights = table.positives(anchor, floor)
+                assert list(zip(ids, weights.tolist())) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_anchors_match_get(self, seed):
+        table = random_table(seed)
+        for floor in FLOORS:
+            expected = [a for a in table.ids
+                        if any(b != a and table.get(a, b) >= floor for b in table.ids)]
+            assert table.anchors(floor) == expected
+
+    def test_anchor_is_never_its_own_positive(self):
+        table = WeightTable(["x", "y"], np.array([[1.0, 0.2], [0.0, 1.0]]))
+        assert table.positives("x", 0.5)[0] == []
+        assert table.positives("x", 0.2)[0] == ["y"]
+        assert table.anchors(0.5) == []
+
+    def test_weight_equal_to_the_floor_counts(self):
+        table = WeightTable(["x", "y"], np.array([[0.0, 0.5], [0.4, 0.0]]))
+        ids, weights = table.positives("x", 0.5)
+        assert ids == ["y"] and weights.tolist() == [0.5]
+        assert table.positives("x", np.nextafter(0.5, 1.0))[0] == []
+        assert table.anchors(0.5) == ["x"]
+        assert table.anchors(0.4) == ["x", "y"]
+
+    def test_table_order_not_sorted_order(self):
+        table = WeightTable(["z", "a", "m"], np.full((3, 3), 0.9))
+        assert table.positives("m", 0.5)[0] == ["z", "a"]
+        assert table.anchors(0.5) == ["z", "a", "m"]
+
+    def test_unknown_id_raises_key_error(self):
+        table = random_table(0)
+        with pytest.raises(KeyError):
+            table.block([table.ids[0], "nope"])
+        with pytest.raises(KeyError):
+            table.positives("nope", 0.5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_csv_bytes_match_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        ids = [f"c{k}" for k in rng.permutation(7)]
+        table = WeightTable(ids, rng.uniform(0.0, 1.0, (7, 7)) ** 3)
+        path = tmp_path / "weights.csv"
+        table.to_csv(str(path))
+        reference = "source_id,target_id,value\n" + "".join(
+            f"{a},{b},{table.get(a, b)!r}\n" for a in ids for b in ids)
+        assert path.read_bytes() == reference.encode("utf-8")
+
+
+def test_only_relevance_reads_the_weight_matrix():
+    """The weight table's storage stays behind ``WeightTable``'s methods:
+    no other package module touches an attribute named ``matrix``."""
+    readers = []
+    for path in sorted(Path(casevec.__file__).parent.glob("*.py")):
+        if path.name == "relevance.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    assert readers == []
 
 
 class TestCaseFiles:
@@ -223,3 +320,10 @@ class TestCaseFiles:
         path.write_text('{"case_id": "c1", "facts": "f"}\n{oops}\n')
         with pytest.raises(RelevanceError, match=":2:"):
             load_cases(str(path))
+
+    def test_file_of_blank_lines_holds_no_case(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n  \n")
+        with pytest.raises(RelevanceError) as excinfo:
+            load_cases(str(path))
+        assert str(excinfo.value) == f"{path}: holds no case"
