@@ -37,7 +37,6 @@ from .encoder import (
     Vocab,
     encode,
     init_params,
-    mlm_loss,
     mlm_mask,
 )
 from .evaluation import (
@@ -75,4 +74,4 @@ from .sampling import (
 )
 from .synth import SynthCorpus, SynthError, SynthSpec, generate, write_corpus
 from .text import TokenizerConfig, tokenize
-from .training import TrainConfig, TrainingDiverged, TrainLog, total_loss, train
+from .training import TrainConfig, TrainingDiverged, TrainLog, train

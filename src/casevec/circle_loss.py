@@ -61,15 +61,19 @@ class CircleLossParams:
             )
 
 
-def cosine_matrix(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise cosines and row norms; rows with zero norm get cosine 0."""
-    norms = np.linalg.norm(embeddings, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = embeddings / safe[:, None]
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit length, and the row norms; zero rows stay zero."""
+    norms = np.linalg.norm(x, axis=1)
+    return x / np.where(norms == 0.0, 1.0, norms)[:, None], norms
+
+
+def cosine_matrix(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairwise cosines, unit rows and row norms; zero rows get cosine 0."""
+    unit, norms = unit_rows(embeddings)
     sims = np.clip(unit @ unit.T, -1.0, 1.0)
     sims[norms == 0.0, :] = 0.0
     sims[:, norms == 0.0] = 0.0
-    return sims, norms
+    return sims, unit, norms
 
 
 def alpha_pos(weights, sims, hp: CircleLossParams) -> np.ndarray:
@@ -110,7 +114,7 @@ def loss_gradient(
     n = embeddings.shape[0]
     if n != len(partition.case_ids):
         raise CircleLossError("embedding rows do not match the partition")
-    sims, norms = cosine_matrix(embeddings)
+    sims, unit, norms = cosine_matrix(embeddings)
     labels = np.asarray(partition.labels)
     same = labels[:, None] == labels[None, :]
     pos_mask = same & ~np.eye(n, dtype=bool)
@@ -150,7 +154,6 @@ def loss_gradient(
     # d cos(u_i, u_j) / d e_i = (u_j - s_ij u_i) / |e_i|, with both pair orders
     both = coeff + coeff.T
     safe = np.where(live, norms, 1.0)[:, None]
-    unit = embeddings / safe
     grad = (both @ unit - (both * sims).sum(axis=1)[:, None] * unit) / safe
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
         raise CircleLossDiverged("loss or gradient is not finite")

@@ -324,16 +324,13 @@ ENCODE_CHUNK = 4
 
 def encode(sequences: list[list[int]], params: Params, cfg: EncoderConfig) -> np.ndarray:
     """Case embeddings: the final hidden state of each sequence's first
-    ([CLS]) position. Deterministic for fixed params and inputs;
-    over-length sequences are truncated with a warning, keeping the
-    leading position. Runs ``ENCODE_CHUNK`` sequences at a time through
-    ``_cls_states``, so memory does not grow with the number of sequences;
-    the result equals ``forward(...)[0][:, 0]`` to about 1e-15."""
+    ([CLS]) position. Deterministic for fixed params and inputs; a sequence
+    over ``max_len`` raises ``EncoderError``, as in ``forward``. Runs
+    ``ENCODE_CHUNK`` sequences at a time through ``_cls_states``, so memory
+    does not grow with the number of sequences; the result equals
+    ``forward(...)[0][:, 0]`` to about 1e-15."""
     if not sequences:
         raise EncoderError("empty batch")
-    if any(len(seq) > cfg.max_len for seq in sequences):
-        LOGGER.warning("truncating over-length sequences to max_len %d", cfg.max_len)
-        sequences = [seq[: cfg.max_len] for seq in sequences]
     out = np.empty((len(sequences), cfg.hidden_size))
     for start in range(0, len(sequences), ENCODE_CHUNK):
         ids, valid = pad_batch(sequences[start:start + ENCODE_CHUNK])
@@ -396,17 +393,10 @@ def mlm_logits(hidden: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: P
     return gathered @ params["mlm.w"] + params["mlm.b"], gathered
 
 
-def mlm_loss(logits: np.ndarray, targets: np.ndarray, mean: bool = False) -> float:
-    """Negative log-likelihood of the targets under softmax logits.
-
-    Summed over masked positions by definition; ``mean`` averages instead,
-    which is steadier for optimization.
-    """
-    value, _ = mlm_loss_and_grad(logits, targets, mean=mean)
-    return value
-
-
 def mlm_loss_and_grad(logits: np.ndarray, targets: np.ndarray, mean: bool = False):
+    """Negative log-likelihood of the targets under softmax logits, and its
+    gradient in the logits. Summed over masked positions by definition;
+    ``mean`` averages instead, which is steadier for optimization."""
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or logits.shape[0] != targets.shape[0]:
         raise EncoderError(

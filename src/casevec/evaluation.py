@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import encoder as enc
-from .relevance import CaseDocument
+from .circle_loss import unit_rows
+from .relevance import CaseDocument, read_json_objects
 from .text import TokenizerConfig, tokenize
 
 
@@ -82,7 +83,15 @@ class QrelSet:
                     continue
                 if len(row) != 3:
                     raise EvaluationError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-                grades[(row[0], row[1])] = int(row[2])
+                try:
+                    grade = int(row[2])
+                except ValueError:
+                    raise EvaluationError(
+                        f"{path}:{lineno}: grade {row[2]!r} is not an integer") from None
+                if grade < 0:
+                    raise EvaluationError(
+                        f"{path}:{lineno}: negative grade {grade} for {(row[0], row[1])}")
+                grades[(row[0], row[1])] = grade
         return cls(grades)
 
 
@@ -115,12 +124,6 @@ def embed_texts(
     return enc.encode(sequences, params, enc_cfg)
 
 
-def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit length; zero rows stay zero."""
-    norms = np.linalg.norm(embeddings, axis=1)
-    return embeddings / np.where(norms == 0.0, 1.0, norms)[:, None]
-
-
 def _pool_key(texts, params, enc_cfg, vocab, tok_cfg) -> bytes:
     """Digest of everything a pool's embeddings depend on. It reads the
     parameter bytes, never object identities: the optimizer updates params
@@ -146,7 +149,7 @@ def _pool_units(texts, params, enc_cfg, vocab, tok_cfg) -> np.ndarray:
     memo = _pool_memo
     if memo is not None and memo[0] == key:
         return memo[1]
-    units = _unit_rows(embed_texts(texts, params, enc_cfg, vocab, tok_cfg))
+    units = unit_rows(embed_texts(texts, params, enc_cfg, vocab, tok_cfg))[0]
     units.setflags(write=False)
     _pool_memo = (key, units)
     return units
@@ -172,7 +175,7 @@ def rank(
     cand_units = _pool_units(
         [candidate_text(c) for c in pool.candidates], params, enc_cfg, vocab, tok_cfg
     )
-    query_unit = _unit_rows(embed_texts([query.facts], params, enc_cfg, vocab, tok_cfg))[0]
+    query_unit = unit_rows(embed_texts([query.facts], params, enc_cfg, vocab, tok_cfg))[0][0]
     sims = cand_units @ query_unit
     order = sorted(
         range(len(pool.candidates)),
@@ -294,22 +297,17 @@ def export_embeddings(
 
 
 def load_queries(path: str) -> list[QueryCase]:
-    """JSON lines with fields query_id and facts."""
+    """JSON lines with string fields query_id and facts."""
     queries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                query = QueryCase(query_id=obj["query_id"], facts=obj["facts"])
-            except json.JSONDecodeError as exc:
-                raise EvaluationError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            except KeyError as exc:
-                raise EvaluationError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-            query.validate()
-            queries.append(query)
+    for lineno, obj in read_json_objects(path, EvaluationError):
+        for name in ("query_id", "facts"):
+            if name not in obj:
+                raise EvaluationError(f"{path}:{lineno}: missing field {name!r}")
+        query = QueryCase(query_id=obj["query_id"], facts=obj["facts"])
+        if not (isinstance(query.query_id, str) and isinstance(query.facts, str)):
+            raise EvaluationError(f"{path}:{lineno}: query_id and facts must be strings")
+        query.validate()
+        queries.append(query)
     if not queries:
         raise EvaluationError(f"{path}: holds no query")
     return queries
@@ -340,10 +338,14 @@ def load_run(path: str) -> list[RankedList]:
             if len(row) != 4:
                 raise EvaluationError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
             qid, position, cid, score = row
+            try:
+                entry = (int(position), cid, float(score))
+            except ValueError as exc:
+                raise EvaluationError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
             if qid not in by_query:
                 by_query[qid] = []
                 order.append(qid)
-            by_query[qid].append((int(position), cid, float(score)))
+            by_query[qid].append(entry)
     runs = []
     for qid in order:
         entries = sorted(by_query[qid])

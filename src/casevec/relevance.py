@@ -176,6 +176,8 @@ class WeightTable:
                         f"{path}:{reader.line_num}: duplicate pair ({src!r}, {tgt!r})"
                     )
                 values[(src, tgt)] = value
+        if not values:
+            raise RelevanceError(f"{path}: holds no weight")
         for tgt, line in pending.items():
             if tgt not in sources:
                 raise RelevanceError(f"{path}:{line}: target {tgt!r} is not a source id")
@@ -210,31 +212,47 @@ def pairwise_weights(
     return WeightTable(ids, matrix)
 
 
-def load_cases(path: str) -> list[CaseDocument]:
-    """Read cases from JSON lines with fields case_id, facts, holding,
-    decision, articles[]."""
-    cases = []
+def read_json_objects(path: str, error: type[Exception]):
+    """Yield ``(lineno, obj)`` for each nonblank line of a JSON-lines file.
+    A line that is not a JSON object raises ``error("<path>:<line>: ...")``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise RelevanceError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            try:
-                case = CaseDocument(
-                    case_id=obj["case_id"],
-                    facts=obj["facts"],
-                    holding=obj.get("holding", ""),
-                    decision=obj.get("decision", ""),
-                    articles=frozenset(obj.get("articles", [])),
-                )
-            except KeyError as exc:
-                raise RelevanceError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-            case.validate()
-            cases.append(case)
+                raise error(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise error(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, obj
+
+
+def load_cases(path: str) -> list[CaseDocument]:
+    """Read cases from JSON lines with fields case_id, facts, holding,
+    decision, articles[]. Text fields are strings, articles a list of
+    strings, and no case_id repeats."""
+    cases = []
+    first_line: dict[str, int] = {}
+    for lineno, obj in read_json_objects(path, RelevanceError):
+        where = f"{path}:{lineno}"
+        for name in ("case_id", "facts"):
+            if name not in obj:
+                raise RelevanceError(f"{where}: missing field {name!r}")
+        texts = [obj["case_id"], obj["facts"], obj.get("holding", ""), obj.get("decision", "")]
+        if not all(isinstance(t, str) for t in texts):
+            raise RelevanceError(f"{where}: case_id, facts, holding and decision must be strings")
+        articles = obj.get("articles", [])
+        if not (isinstance(articles, list) and all(isinstance(a, str) for a in articles)):
+            raise RelevanceError(f"{where}: articles must be a list of strings")
+        case = CaseDocument(*texts, articles=frozenset(articles))
+        case.validate()
+        if case.case_id in first_line:
+            raise RelevanceError(
+                f"{where}: case_id {case.case_id!r} repeats line {first_line[case.case_id]}"
+            )
+        first_line[case.case_id] = lineno
+        cases.append(case)
     if not cases:
         raise RelevanceError(f"{path}: holds no case")
     return cases

@@ -188,6 +188,8 @@ def load_labels(path: str) -> dict[str, str]:
         header = next(reader, None)
         if header != ["case_id", "label"]:
             raise SynthError(f"{path}: unexpected labels header {header!r}")
-        for case_id, label in reader:
-            labels[case_id] = label
+        for row in reader:
+            if len(row) != 2:
+                raise SynthError(f"{path}:{reader.line_num}: expected 2 columns, got {len(row)}")
+            labels[row[0]] = row[1]
     return labels

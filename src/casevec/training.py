@@ -106,13 +106,6 @@ class TrainLog:
                 fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
 
 
-def total_loss(mlm: float, circle: float, mix: float) -> float:
-    """Linear combination of the two objectives."""
-    if not (math.isfinite(mlm) and math.isfinite(circle)):
-        raise TrainingError(f"non-finite loss inputs: mlm={mlm}, circle={circle}")
-    return mlm + mix * circle
-
-
 class Adam:
     """Adaptive-moment optimizer over a named parameter dict."""
 
@@ -262,22 +255,19 @@ def train(
             circle_value, d_emb = loss_gradient(embeddings, partition, table, hp)
         except CircleLossDiverged as exc:
             raise TrainingDiverged(step, last_checkpoint) from exc
-        if not (math.isfinite(mlm_value) and math.isfinite(circle_value)):
-            raise TrainingDiverged(step, last_checkpoint)
-        total = total_loss(mlm_value, circle_value, hp.mix)
-        if not math.isfinite(total):
-            raise TrainingDiverged(step, last_checkpoint)
+        total = mlm_value + hp.mix * circle_value
 
         dgathered, dw_head, db_head = enc.mlm_head_backward(dlogits, gathered, params)
         d_hidden = np.zeros_like(hidden)
-        np.add.at(d_hidden, (rows, cols), dgathered)
+        # masked positions are distinct, so assignment equals accumulation
+        d_hidden[rows, cols] = dgathered
         d_hidden[:, 0, :] += hp.mix * d_emb
         grads = enc.backward(d_hidden, cache, params, enc_cfg)
         grads["mlm.w"] += dw_head
         grads["mlm.b"] += db_head
 
         grad_norm = clip_global_norm(grads, cfg.grad_clip)
-        if not math.isfinite(grad_norm):
+        if not (math.isfinite(total) and math.isfinite(grad_norm)):
             raise TrainingDiverged(step, last_checkpoint)
         opt.step(params, grads)
 

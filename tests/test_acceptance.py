@@ -213,7 +213,8 @@ def test_criterion_6_gradient_checks():
     def loss_only():
         hidden, _ = enc.forward(ids_arr, valid, params, cfg)
         logits, _ = enc.mlm_logits(hidden, rows, cols, params)
-        return enc.mlm_loss(logits, targets) + float((hidden[:, 0, :] * probe).sum())
+        value, _ = enc.mlm_loss_and_grad(logits, targets)
+        return value + float((hidden[:, 0, :] * probe).sum())
 
     hidden, cache = enc.forward(ids_arr, valid, params, cfg)
     logits, gathered = enc.mlm_logits(hidden, rows, cols, params)

@@ -365,6 +365,77 @@ class TestEmptyInputs:
         assert not out.exists()
 
 
+FIRST_CASE = "case-art-00-b0-000"  # first line of the corpus_dir case file
+
+
+def _cases_text(corpus_dir, edit):
+    lines = (corpus_dir / "cases.jsonl").read_text().splitlines()
+    return "\n".join(edit(lines)) + "\n"
+
+
+def _first_case_with(corpus_dir, **fields):
+    case = json.loads((corpus_dir / "cases.jsonl").read_text().splitlines()[0])
+    return json.dumps({**case, **fields}) + "\n"
+
+
+class TestMalformedFiles:
+    """A file with a bad line or row ends in exit 2 with a message that
+    starts with its path, before any output is written."""
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _cases_text(d, lambda ls: ls[:2] + ["[1]"]), ":3: expected a JSON object"),
+        (["rank", *MODEL, "--queries", "BAD", "--cases", "CASES"],
+         lambda d: '"x"\n', ":1: expected a JSON object"),
+        (["rank", *MODEL, "--queries", "BAD", "--cases", "CASES"],
+         lambda d: '{"query_id": "q", "facts": 5}\n', ":1: query_id and facts must be strings"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _first_case_with(d, articles="art-00"),
+         ":1: articles must be a list of strings"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _first_case_with(d, facts=5),
+         ":1: case_id, facts, holding and decision must be strings"),
+        (["encode", *MODEL, "--cases", "BAD"],
+         lambda d: _cases_text(d, lambda ls: ls[:2] + ls[:1]),
+         f":3: case_id '{FIRST_CASE}' repeats line 1"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _cases_text(d, lambda ls: ls[:1] + ls[:1]),
+         f":2: case_id '{FIRST_CASE}' repeats line 1"),
+        (["sample", "--weights", "BAD"],
+         lambda d: "source_id,target_id,value\n", ": holds no weight"),
+        (["evaluate", "--run", "RUN", "--qrels", "BAD"],
+         lambda d: "q\tc\tx\n", ":1: grade 'x' is not an integer"),
+        (["evaluate", "--run", "RUN", "--qrels", "BAD"],
+         lambda d: "q\tc\t2\nq\td\t-1\n", ":2: negative grade -1 for ('q', 'd')"),
+        (["evaluate", "--run", "BAD", "--qrels", "QRELS"],
+         lambda d: "q\t1\tc\tabc\n",
+         ":1: bad row ['q', '1', 'c', 'abc']: could not convert string to float: 'abc'"),
+        (["export-embeddings", *MODEL, "--cases", "CASES", "--labels", "BAD"],
+         lambda d: f"case_id,label\n{FIRST_CASE},a,b\n",
+         ":2: expected 2 columns, got 3"),
+    ], ids=["case-not-object", "query-not-object", "query-facts-number", "articles-string",
+            "facts-number", "encode-repeated-id", "weights-repeated-id", "weights-header-only",
+            "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields"])
+    def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
+                                        message):
+        model = tmp_path / "run"
+        if "PARAMS" in argv:
+            assert pretrain(corpus_dir, model, "--steps", "1") == 0
+            capsys.readouterr()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text(corpus_dir))
+        run = tmp_path / "run.tsv"
+        run.write_text("q\t1\tc\t0.5\n")
+        paths = {"ARTICLES": corpus_dir / "articles.json", "CASES": corpus_dir / "cases.jsonl",
+                 "QRELS": corpus_dir / "qrels.tsv", "RUN": run, "BAD": bad,
+                 "PARAMS": model / "encoder.params", "VOCAB": model / "vocab.txt"}
+        out = tmp_path / "out"
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        assert run_cli(*argv, "--out", str(out / "result")) == 2
+        assert capsys.readouterr().err == f"error: {bad}{message}\n"
+        assert not out.exists()
+
+
 class TestResume:
     @pytest.fixture
     def ckpt(self, tmp_path, corpus_dir, capsys):

@@ -159,16 +159,13 @@ class TestForward:
         assert ids[-1] == enc.SEP_ID
         assert "truncating" in caplog.text
 
-    def test_encode_truncates_over_length_sequences(self, caplog):
+    def test_encode_rejects_over_length_sequences(self):
+        """Only ``build_input_ids`` truncates; ``encode`` refuses, like ``forward``."""
         cfg = tiny_config(max_len=4)
         params = enc.init_params(cfg)
         long_seq = [enc.CLS_ID, 5, 6, 7, 8, 5, enc.SEP_ID]
-        with caplog.at_level("WARNING"):
-            out = enc.encode([long_seq], params, cfg)
-        assert out.shape == (1, cfg.hidden_size)
-        assert "truncating" in caplog.text
-        short = enc.encode([long_seq[:4]], params, cfg)
-        assert np.array_equal(out, short)
+        with pytest.raises(enc.EncoderError, match="sequence length 7 exceeds max_len 4"):
+            enc.encode([long_seq[:4], long_seq], params, cfg)
 
     def test_layer_norm_standardizes_before_affine(self):
         rng = np.random.default_rng(0)
@@ -312,14 +309,17 @@ class TestMlmLoss:
         logits = np.full((2, 6), -1e3)
         logits[0, 3] = 1e3
         logits[1, 1] = 1e3
-        assert enc.mlm_loss(logits, np.array([3, 1])) == pytest.approx(0.0, abs=1e-9)
+        value, _ = enc.mlm_loss_and_grad(logits, np.array([3, 1]))
+        assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_logits_give_m_log_v(self):
         m, v = 5, 12
         logits = np.zeros((m, v))
         targets = np.arange(m)
-        assert enc.mlm_loss(logits, targets) == pytest.approx(m * math.log(v), abs=1e-12)
-        assert enc.mlm_loss(logits, targets, mean=True) == pytest.approx(math.log(v), abs=1e-12)
+        total = enc.mlm_loss_and_grad(logits, targets)[0]
+        mean = enc.mlm_loss_and_grad(logits, targets, mean=True)[0]
+        assert total == pytest.approx(m * math.log(v), abs=1e-12)
+        assert mean == pytest.approx(math.log(v), abs=1e-12)
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(7)
@@ -328,11 +328,11 @@ class TestMlmLoss:
         expected = 0.0
         for row, t in zip(logits, targets):
             expected += math.log(sum(math.exp(x) for x in row)) - row[t]
-        assert enc.mlm_loss(logits, targets) == pytest.approx(expected, rel=1e-9)
+        assert enc.mlm_loss_and_grad(logits, targets)[0] == pytest.approx(expected, rel=1e-9)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(enc.EncoderError, match="logit row"):
-            enc.mlm_loss(np.zeros((3, 5)), np.array([1, 2]))
+            enc.mlm_loss_and_grad(np.zeros((3, 5)), np.array([1, 2]))
 
     def test_gradient_of_certain_prediction_is_zero(self):
         logits = np.zeros((1, 4))
@@ -359,7 +359,8 @@ def combined_loss(params, cfg, ids, valid, rows, cols, targets, probe):
 def combined_loss_value(params, cfg, ids, valid, rows, cols, targets, probe):
     hidden, _ = enc.forward(ids, valid, params, cfg)
     logits, _ = enc.mlm_logits(hidden, rows, cols, params)
-    return enc.mlm_loss(logits, targets) + float((hidden[:, 0, :] * probe).sum())
+    value, _ = enc.mlm_loss_and_grad(logits, targets)
+    return value + float((hidden[:, 0, :] * probe).sum())
 
 
 def gradcheck_setup(cfg, scale=0.4, seed=5):

@@ -26,23 +26,8 @@ from casevec.training import (
     TrainingDiverged,
     TrainingError,
     TrainLog,
-    total_loss,
     train,
 )
-
-
-class TestTotalLoss:
-    def test_zero_circle_component(self):
-        assert total_loss(2.0, 0.0, 123.0) == 2.0
-
-    def test_paper_style_mix(self):
-        assert total_loss(1.0, 1.0, 2.71828e-6) == pytest.approx(1.00000271828, abs=1e-12)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(TrainingError, match="non-finite"):
-            total_loss(float("nan"), 0.0, 1.0)
-        with pytest.raises(TrainingError, match="non-finite"):
-            total_loss(1.0, float("inf"), 1.0)
 
 
 TOK = TokenizerConfig()
@@ -188,6 +173,41 @@ class TestTrainLoop:
         else:
             assert type(excinfo.value) is CircleLossError
 
+    @pytest.mark.parametrize("broken", ["loss", "gradient"])
+    def test_non_finite_masked_token_term_diverges(self, tmp_path, monkeypatch, broken):
+        """A NaN masked-token loss, or a finite one whose gradient overflows,
+        at step 2 stops training there and names the step-1 checkpoint."""
+        corpus, table, vocab, enc_cfg = make_setup()
+        original = enc.mlm_loss_and_grad
+        calls = {"n": 0}
+
+        def breaking(logits, targets, mean=False):
+            calls["n"] += 1
+            value, dlogits = original(logits, targets, mean=mean)
+            if calls["n"] >= 2:
+                if broken == "loss":
+                    value = float("nan")
+                else:
+                    dlogits = np.full_like(dlogits, np.inf)
+            return value, dlogits
+
+        monkeypatch.setattr(enc, "mlm_loss_and_grad", breaking)
+        with pytest.raises(TrainingDiverged) as excinfo, np.errstate(all="ignore"):
+            run(4, corpus, table, vocab, enc_cfg,
+                checkpoint_dir=str(tmp_path), checkpoint_every=1)
+        assert excinfo.value.step == 2
+        assert excinfo.value.checkpoint == str(tmp_path / "step-000001.ckpt")
+        assert str(excinfo.value) == (
+            f"training diverged at step 2; last good checkpoint: {tmp_path / 'step-000001.ckpt'}"
+        )
+
+    @pytest.mark.parametrize("mix", [CircleLossParams().mix, 1.0, 0.0])
+    def test_logged_total_is_the_mixed_sum(self, mix):
+        corpus, table, vocab, enc_cfg = make_setup()
+        _, log = run(3, corpus, table, vocab, enc_cfg, hp=CircleLossParams(mix=mix))
+        for r in log.steps:
+            assert r.total_loss == r.mlm_loss + mix * r.circle_loss
+
     def test_fixed_quadruples_reuse_the_same_batch(self, monkeypatch):
         corpus, table, vocab, enc_cfg = make_setup()
         seen = []
@@ -238,7 +258,7 @@ class TestTrainLoop:
             grads = enc.backward(dh, cache, p, enc_cfg)
             grads["mlm.w"] += dw
             grads["mlm.b"] += db
-            return total_loss(mlm_value, circle_value, hp.mix), grads
+            return mlm_value + hp.mix * circle_value, grads
 
         before, grads = loss_and_grads(params)
         stepped = {k: params[k] - 1e-4 * grads[k] for k in params}
