@@ -395,7 +395,10 @@ def _cmd_evaluate(args) -> int:
     opts = _effective(args)
     runs = load_run(args.run)
     qrels = QrelSet.from_tsv(args.qrels)
-    ks = tuple(int(k) for k in opts["ks"].split(","))
+    try:
+        ks = tuple(int(k) for k in opts["ks"].split(","))
+    except ValueError:
+        raise CliError(f"--ks must be comma-separated integers, got {opts['ks']!r}") from None
     metrics = evaluate(runs, qrels, ks=ks, skip_unjudged=opts["skip_unjudged"])
     save_metrics(metrics, args.out)
     _echo_config("evaluate", opts, args.out)

@@ -4,18 +4,17 @@ Queries and candidates are embedded independently by the same encoder and
 ranked by cosine similarity. Queries carry facts only; candidates are
 encoded from their facts and holding concatenated. A candidate pool is
 embedded once per encoder state and reused for every query ranked against
-it; see ``rank``. NDCG uses gain
-2^grade - 1 with a 1/log2(rank + 1) discount, normalized by the ideal
-ordering of the candidate pool.
+it, under a by-value key of everything the embeddings depend on; see
+``rank``. NDCG uses gain 2^grade - 1 with a 1/log2(rank + 1) discount,
+normalized by the ideal ordering of the candidate pool.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +51,15 @@ class CandidatePool:
             raise EvaluationError(f"query {self.query_id!r}: duplicate candidate ids")
 
 
+def _claim_pair(pair: tuple[str, str], first_line: dict, path: str, lineno: int) -> None:
+    """Record the line of a (query, case) pair, which may appear only once
+    in a qrels or run file."""
+    if pair in first_line:
+        raise EvaluationError(
+            f"{path}:{lineno}: repeated pair {pair}, first at line {first_line[pair]}")
+    first_line[pair] = lineno
+
+
 class QrelSet:
     """Graded relevance labels keyed by (query_id, case_id)."""
 
@@ -77,6 +85,7 @@ class QrelSet:
     @classmethod
     def from_tsv(cls, path: str) -> "QrelSet":
         grades = {}
+        first_line: dict[tuple[str, str], int] = {}
         with open(path, encoding="utf-8", newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
                 if not row:
@@ -88,10 +97,11 @@ class QrelSet:
                 except ValueError:
                     raise EvaluationError(
                         f"{path}:{lineno}: grade {row[2]!r} is not an integer") from None
+                pair = (row[0], row[1])
                 if grade < 0:
-                    raise EvaluationError(
-                        f"{path}:{lineno}: negative grade {grade} for {(row[0], row[1])}")
-                grades[(row[0], row[1])] = grade
+                    raise EvaluationError(f"{path}:{lineno}: negative grade {grade} for {pair}")
+                _claim_pair(pair, first_line, path, lineno)
+                grades[pair] = grade
         return cls(grades)
 
 
@@ -124,35 +134,12 @@ def embed_texts(
     return enc.encode(sequences, params, enc_cfg)
 
 
-def _pool_key(texts, params, enc_cfg, vocab, tok_cfg) -> bytes:
-    """Digest of everything a pool's embeddings depend on. It reads the
-    parameter bytes, never object identities: the optimizer updates params
-    in place, and callers build a new pool object per query."""
-    h = hashlib.sha256()
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name])
-        h.update(json.dumps([name, arr.dtype.str, arr.shape]).encode("utf-8"))
-        h.update(arr.data)
-    h.update(json.dumps([enc_cfg.to_json(), asdict(tok_cfg), vocab.tokens, texts]).encode("utf-8"))
-    return h.digest()
-
-
-# (key, read-only unit embeddings) of the last pool ranked against. One
-# tuple assigned whole, so concurrent callers read an old or new entry,
-# never a mixed one.
-_pool_memo: tuple[bytes, np.ndarray] | None = None
-
-
-def _pool_units(texts, params, enc_cfg, vocab, tok_cfg) -> np.ndarray:
-    global _pool_memo
-    key = _pool_key(texts, params, enc_cfg, vocab, tok_cfg)
-    memo = _pool_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    units = unit_rows(embed_texts(texts, params, enc_cfg, vocab, tok_cfg))[0]
-    units.setflags(write=False)
-    _pool_memo = (key, units)
-    return units
+# (key, read-only unit embeddings) of the last pool ranked against. The key
+# holds copies of every input the embeddings depend on and is compared by
+# value: the optimizer updates params in place, and callers build a new
+# pool object per query. One tuple assigned whole, so concurrent callers
+# read an old or new entry, never a mixed one.
+_pool_memo: tuple[tuple, np.ndarray] | None = None
 
 
 def rank(
@@ -166,15 +153,23 @@ def rank(
     """Order the pool by cosine to the query embedding, ties by case id.
 
     The query is embedded alone. The pool's unit embeddings are kept for
-    the next call, keyed by the content of the params, configs, vocabulary
-    and candidate texts, so ranking many queries against one pool embeds
-    the pool once for each params state.
+    the next call under a key that holds copies of the candidate texts,
+    configs, vocabulary and param bytes, so ranking many queries against
+    one pool embeds the pool once for each params state.
     """
+    global _pool_memo
     query.validate()
     pool.validate()
-    cand_units = _pool_units(
-        [candidate_text(c) for c in pool.candidates], params, enc_cfg, vocab, tok_cfg
-    )
+    texts = [candidate_text(c) for c in pool.candidates]
+    key = (texts, enc_cfg, tok_cfg, list(vocab.tokens),
+           {name: (arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in params.items()})
+    memo = _pool_memo
+    if memo is not None and memo[0] == key:
+        cand_units = memo[1]
+    else:
+        cand_units = unit_rows(embed_texts(texts, params, enc_cfg, vocab, tok_cfg))[0]
+        cand_units.setflags(write=False)
+        _pool_memo = (key, cand_units)
     query_unit = unit_rows(embed_texts([query.facts], params, enc_cfg, vocab, tok_cfg))[0][0]
     sims = cand_units @ query_unit
     order = sorted(
@@ -306,7 +301,10 @@ def load_queries(path: str) -> list[QueryCase]:
         query = QueryCase(query_id=obj["query_id"], facts=obj["facts"])
         if not (isinstance(query.query_id, str) and isinstance(query.facts, str)):
             raise EvaluationError(f"{path}:{lineno}: query_id and facts must be strings")
-        query.validate()
+        try:
+            query.validate()
+        except EvaluationError as exc:
+            raise EvaluationError(f"{path}:{lineno}: {exc}") from None
         queries.append(query)
     if not queries:
         raise EvaluationError(f"{path}: holds no query")
@@ -330,7 +328,7 @@ def save_run(runs: list[RankedList], path: str) -> None:
 
 def load_run(path: str) -> list[RankedList]:
     by_query: dict[str, list[tuple[int, str, float]]] = {}
-    order: list[str] = []
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
             if not row:
@@ -342,15 +340,10 @@ def load_run(path: str) -> list[RankedList]:
                 entry = (int(position), cid, float(score))
             except ValueError as exc:
                 raise EvaluationError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
-            if qid not in by_query:
-                by_query[qid] = []
-                order.append(qid)
-            by_query[qid].append(entry)
-    runs = []
-    for qid in order:
-        entries = sorted(by_query[qid])
-        runs.append(RankedList(query_id=qid, ranking=[(cid, score) for _, cid, score in entries]))
-    return runs
+            _claim_pair((qid, cid), first_line, path, lineno)
+            by_query.setdefault(qid, []).append(entry)
+    return [RankedList(query_id=qid, ranking=[(cid, score) for _, cid, score in sorted(entries)])
+            for qid, entries in by_query.items()]
 
 
 def save_metrics(metrics: dict, path: str) -> None:

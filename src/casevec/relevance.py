@@ -246,7 +246,10 @@ def load_cases(path: str) -> list[CaseDocument]:
         if not (isinstance(articles, list) and all(isinstance(a, str) for a in articles)):
             raise RelevanceError(f"{where}: articles must be a list of strings")
         case = CaseDocument(*texts, articles=frozenset(articles))
-        case.validate()
+        try:
+            case.validate()
+        except RelevanceError as exc:
+            raise RelevanceError(f"{where}: {exc}") from None
         if case.case_id in first_line:
             raise RelevanceError(
                 f"{where}: case_id {case.case_id!r} repeats line {first_line[case.case_id]}"

@@ -380,7 +380,8 @@ def _first_case_with(corpus_dir, **fields):
 
 class TestMalformedFiles:
     """A file with a bad line or row ends in exit 2 with a message that
-    starts with its path, before any output is written."""
+    starts with its path, and a bad option value with one that names the
+    option, before any output is written."""
 
     @pytest.mark.parametrize("argv, text, message", [
         (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
@@ -413,9 +414,24 @@ class TestMalformedFiles:
         (["export-embeddings", *MODEL, "--cases", "CASES", "--labels", "BAD"],
          lambda d: f"case_id,label\n{FIRST_CASE},a,b\n",
          ":2: expected 2 columns, got 3"),
+        (["evaluate", "--run", "BAD", "--qrels", "QRELS"],
+         lambda d: "q\t1\tc\t0.5\nq\t2\tc\t0.4\n", ":2: repeated pair ('q', 'c'), first at line 1"),
+        (["evaluate", "--run", "RUN", "--qrels", "BAD"],
+         lambda d: "q\tc\t2\nq\td\t1\nq\tc\t0\n",
+         ":3: repeated pair ('q', 'c'), first at line 1"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _first_case_with(d, case_id=""), ":1: case_id must be nonempty"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _first_case_with(d, facts=""), f":1: case '{FIRST_CASE}': facts must be nonempty"),
+        (["rank", *MODEL, "--queries", "BAD", "--cases", "CASES"],
+         lambda d: '{"query_id": "q", "facts": ""}\n', ":1: query 'q': facts must be nonempty"),
+        (["evaluate", "--run", "RUN", "--qrels", "QRELS", "--ks", "10,x"],
+         lambda d: "", "--ks must be comma-separated integers, got '10,x'"),
     ], ids=["case-not-object", "query-not-object", "query-facts-number", "articles-string",
             "facts-number", "encode-repeated-id", "weights-repeated-id", "weights-header-only",
-            "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields"])
+            "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields",
+            "run-repeated-pair", "qrels-repeated-pair", "case-id-empty", "case-facts-empty",
+            "query-facts-empty", "ks-not-integer"])
     def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
                                         message):
         model = tmp_path / "run"
@@ -430,9 +446,10 @@ class TestMalformedFiles:
                  "QRELS": corpus_dir / "qrels.tsv", "RUN": run, "BAD": bad,
                  "PARAMS": model / "encoder.params", "VOCAB": model / "vocab.txt"}
         out = tmp_path / "out"
+        named = bad if "BAD" in argv else ""
         argv = [str(paths.get(arg, arg)) for arg in argv]
         assert run_cli(*argv, "--out", str(out / "result")) == 2
-        assert capsys.readouterr().err == f"error: {bad}{message}\n"
+        assert capsys.readouterr().err == f"error: {named}{message}\n"
         assert not out.exists()
 
 

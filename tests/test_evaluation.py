@@ -7,6 +7,7 @@ implementation in _helpers.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -347,6 +348,34 @@ class TestPoolMemo:
         run = rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, other)
         assert embedded_rows == [len(corpus.cases), 1, len(corpus.cases), 1]
         assert_matches_reference(run, query, corpus.cases, params, cfg, vocab, other)
+
+    def test_renamed_token_recomputes(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        query = corpus.queries[0]
+        rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, TOK)
+        renamed = enc.Vocab(vocab.tokens[:-1] + ["renamed"])
+        assert len(renamed) == len(vocab)
+        run = rank(query, CandidatePool("q", corpus.cases), params, cfg, renamed, TOK)
+        assert embedded_rows == [len(corpus.cases), 1, len(corpus.cases), 1]
+        assert_matches_reference(run, query, corpus.cases, params, cfg, renamed)
+
+    def test_different_layer_norm_eps_recomputes(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        query = corpus.queries[1]
+        rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, TOK)
+        other = dataclasses.replace(cfg, layer_norm_eps=cfg.layer_norm_eps * 10)
+        run = rank(query, CandidatePool("q", corpus.cases), params, other, vocab, TOK)
+        assert embedded_rows == [len(corpus.cases), 1, len(corpus.cases), 1]
+        assert_matches_reference(run, query, corpus.cases, params, other, vocab)
+
+    def test_in_place_vocab_change_recomputes(self, trained, embedded_rows):
+        corpus, params, cfg, vocab = trained
+        vocab = enc.Vocab(vocab.tokens)
+        query = corpus.queries[2]
+        rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, TOK)
+        vocab.tokens[-1] = "renamed"  # the caller's own list, changed in place
+        rank(query, CandidatePool("q", corpus.cases), params, cfg, vocab, TOK)
+        assert embedded_rows == [len(corpus.cases), 1, len(corpus.cases), 1]
 
     def test_memo_holds_one_pool(self, trained, embedded_rows):
         corpus, params, cfg, vocab = trained
