@@ -15,6 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+from .files import open_output
 from .text import TokenizerConfig, tokenize
 
 
@@ -161,6 +162,6 @@ def save_article_specs(specs: list[ArticleSpec], path: str) -> None:
     for spec in specs:
         spec.validate()
     doc = {"articles": [{"article_id": s.article_id, "acts": s.acts} for s in specs]}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, encoding="utf-8") as fh:
         json.dump(doc, fh, ensure_ascii=False, indent=2)
         fh.write("\n")

@@ -37,6 +37,7 @@ from .evaluation import (
     save_metrics,
     save_run,
 )
+from .files import open_output
 from .relevance import WeightTable, load_cases, pairwise_weights
 from .sampling import build_batch, class_partition, sample_quadruples
 from .synth import SynthSpec, generate, load_labels, write_corpus
@@ -233,7 +234,7 @@ def _echo_config(command: str, options: dict, primary_out: str) -> None:
     outdir = primary_out if os.path.isdir(primary_out) else os.path.dirname(primary_out) or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{command}.config.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, encoding="utf-8") as fh:
         json.dump({"command": command, "options": options}, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -254,7 +255,7 @@ def _cmd_gen_corpus(args) -> int:
 def _cmd_expand_articles(args) -> int:
     opts = _effective(args)
     corpus = build_corpus(load_article_specs(args.articles), _build(TokenizerConfig, args, opts))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out, encoding="utf-8") as fh:
         for branch in corpus.branches:
             fh.write(json.dumps({
                 "article_id": branch.article_id,
@@ -303,7 +304,7 @@ def _cmd_sample(args) -> int:
         }, sort_keys=True) + "\n")
     # every batch is drawn before --out is opened, so a failed draw leaves
     # an existing manifest as it was
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out, encoding="utf-8") as fh:
         fh.writelines(lines)
     _echo_config("sample", opts, args.out)
     print(f"wrote {opts['num_batches']} batch manifests to {args.out}")
@@ -364,7 +365,7 @@ def _cmd_encode(args) -> int:
     cases = load_cases(args.cases)
     embeddings = embed_texts([candidate_text(c) for c in cases], params, enc_cfg, vocab,
                              _build(TokenizerConfig, args, opts))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open_output(args.out, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["case_id"] + [f"dim{i}" for i in range(enc_cfg.hidden_size)])
         for case, row in zip(cases, embeddings):

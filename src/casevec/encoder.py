@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .files import open_output
+
 LOGGER = logging.getLogger(__name__)
 
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
@@ -56,7 +58,7 @@ class Vocab:
         return len(self.tokens)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path, encoding="utf-8") as fh:
             for tok in self.tokens:
                 fh.write(tok + "\n")
 
@@ -442,7 +444,7 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
         entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)})
         blobs.append(arr.tobytes())
     header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True)
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(STORE_MAGIC)
         fh.write(header.encode("utf-8") + b"\n")
         for blob in blobs:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import encoder as enc
 from .circle_loss import unit_rows
+from .files import open_output
 from .relevance import CaseDocument, read_json_objects
 from .text import TokenizerConfig, tokenize
 
@@ -77,7 +78,7 @@ class QrelSet:
         return query_id in self._queries
 
     def to_tsv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_output(path, encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
             for (qid, cid), grade in sorted(self.grades.items()):
                 writer.writerow([qid, cid, grade])
@@ -274,7 +275,7 @@ def export_embeddings(
             return labels[case.case_id]
         return "|".join(sorted(case.articles))
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if projection == "pca2d":
             coords, _, _ = pca_2d(embeddings)
@@ -312,14 +313,14 @@ def load_queries(path: str) -> list[QueryCase]:
 
 
 def save_queries(queries: list[QueryCase], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, encoding="utf-8") as fh:
         for q in queries:
             fh.write(json.dumps({"facts": q.facts, "query_id": q.query_id}, sort_keys=True) + "\n")
 
 
 def save_run(runs: list[RankedList], path: str) -> None:
     """TSV rows (query_id, rank, case_id, score), rank starting at 1."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         for run in runs:
             for position, (cid, score) in enumerate(run.ranking, start=1):
@@ -347,6 +348,6 @@ def load_run(path: str) -> list[RankedList]:
 
 
 def save_metrics(metrics: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, encoding="utf-8") as fh:
         json.dump(metrics, fh, sort_keys=True, indent=2)
         fh.write("\n")

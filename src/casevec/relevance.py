@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bm25 import SimilarityProfile
+from .files import open_output
 
 
 class RelevanceError(ValueError):
@@ -139,7 +140,7 @@ class WeightTable:
         return [self.ids[i] for i in np.flatnonzero(eligible.any(axis=1))]
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_output(path, encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["source_id", "target_id", "value"])
             for src, row in zip(self.ids, self.matrix):
@@ -262,7 +263,7 @@ def load_cases(path: str) -> list[CaseDocument]:
 
 
 def save_cases(cases: list[CaseDocument], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, encoding="utf-8") as fh:
         for case in cases:
             obj = {
                 "case_id": case.case_id,

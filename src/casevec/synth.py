@@ -18,6 +18,7 @@ import numpy as np
 
 from .articles import ArticleSpec, save_article_specs
 from .evaluation import QrelSet, QueryCase, save_queries
+from .files import open_output
 from .relevance import CaseDocument, save_cases
 
 
@@ -169,7 +170,7 @@ def write_corpus(corpus: SynthCorpus, outdir: str) -> dict[str, str]:
     save_cases(corpus.cases, paths["cases"])
     save_queries(corpus.queries, paths["queries"])
     corpus.qrels.to_tsv(paths["qrels"])
-    with open(paths["labels"], "w", encoding="utf-8", newline="") as fh:
+    with open_output(paths["labels"], encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["case_id", "label"])
         for case in corpus.cases:

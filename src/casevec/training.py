@@ -22,6 +22,7 @@ import numpy as np
 
 from . import encoder as enc
 from .circle_loss import CircleLossDiverged, CircleLossParams, loss_gradient
+from .files import open_output
 from .relevance import CaseDocument, WeightTable
 from .sampling import (
     DEFAULT_POSITIVE_FLOOR,
@@ -101,7 +102,7 @@ class TrainLog:
         self.steps.append(record)
 
     def to_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path, encoding="utf-8") as fh:
             for rec in self.steps:
                 fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
 
