@@ -132,10 +132,6 @@ def init_params(cfg: EncoderConfig) -> Params:
     return params
 
 
-def zero_grads(params: Params) -> Params:
-    return {name: np.zeros_like(arr) for name, arr in params.items()}
-
-
 # ---------------------------------------------------------------------------
 # primitive layers
 
@@ -227,41 +223,85 @@ def _embed(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfi
     return params["tok_emb"][ids] + params["pos_emb"][:l], scale, bias
 
 
-def _block(x, scale, bias, params: Params, cfg: EncoderConfig, i: int, rows=slice(None)):
+def _at(x: np.ndarray, rows) -> np.ndarray:
+    """``x`` (B×L×H) at each sequence's ``rows`` (B×R), or ``x`` itself
+    when ``rows`` is None."""
+    return x if rows is None else x[np.arange(len(x))[:, None], rows]
+
+
+def _add_at(dst: np.ndarray, rows, values: np.ndarray) -> None:
+    """``dst += values`` at each sequence's ``rows``, or everywhere when
+    ``rows`` is None. Rows must be distinct within a sequence: a repeated
+    row would keep only one of its values."""
+    if rows is None:
+        dst += values
+    else:
+        dst[np.arange(len(dst))[:, None], rows] += values
+
+
+def _block(x, scale, bias, params: Params, cfg: EncoderConfig, i: int, rows=None):
     """Transformer block ``i``. Keys and values span every position of ``x``;
-    queries, the residual, ``ln2`` and the FFN run for the positions ``rows``
-    only. Returns the output at ``rows`` and the intermediates ``backward`` reads."""
+    queries, the residual, ``ln2`` and the FFN run at each sequence's
+    ``rows`` (B×R, distinct within a sequence) only, or at every position
+    when ``rows`` is None. Returns the output at ``rows`` and the
+    intermediates ``backward`` reads."""
     p = f"layers.{i}."
     h1, ln1_cache = layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"], cfg.layer_norm_eps)
-    q = _split_heads(h1[:, rows] @ params[p + "attn.wq"] + params[p + "attn.bq"], cfg.num_heads)
+    h1q = _at(h1, rows)
+    q = _split_heads(h1q @ params[p + "attn.wq"] + params[p + "attn.bq"], cfg.num_heads)
     k = _split_heads(h1 @ params[p + "attn.wk"] + params[p + "attn.bk"], cfg.num_heads)
     v = _split_heads(h1 @ params[p + "attn.wv"] + params[p + "attn.bv"], cfg.num_heads)
     attn = _softmax_masked(q @ k.swapaxes(-1, -2) * scale + bias)
     ctx = _merge_heads(attn @ v)
-    x1 = x[:, rows] + ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
+    x1 = _at(x, rows) + ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
     h2, ln2_cache = layer_norm(x1, params[p + "ln2.g"], params[p + "ln2.b"], cfg.layer_norm_eps)
     u = h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
     g = gelu(u)
     x_out = x1 + g @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-    return x_out, {"x_in": x, "h1": h1, "ln1": ln1_cache, "q": q, "k": k, "v": v, "attn": attn,
-                   "ctx": ctx, "x1": x1, "h2": h2, "ln2": ln2_cache, "u": u, "g": g}
+    return x_out, {"rows": rows, "h1": h1, "h1q": h1q, "ln1": ln1_cache, "q": q, "k": k,
+                   "v": v, "attn": attn, "ctx": ctx, "h2": h2, "ln2": ln2_cache, "u": u, "g": g}
 
 
-def forward(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfig):
-    """Full forward pass; returns final hidden states and a backward cache."""
+def read_rows(positions: list[list[int]], length: int) -> np.ndarray:
+    """The B×R ``rows`` of ``forward`` for a batch of padded length
+    ``length`` whose losses read [CLS] and each sequence's ``positions``
+    (ascending, distinct, nonzero). Row 0 of every sequence is position
+    0 and rows 1 to len(positions[b]) are its positions in order; the
+    rest, up to R = 1 + the most positions of any sequence, are the
+    lowest positions the sequence does not read. That padding is distinct
+    from the read rows, so their gradients do not collide in
+    ``backward``."""
+    read = np.zeros((len(positions), length), dtype=bool)
+    read[:, 0] = True
+    for b, pos in enumerate(positions):
+        read[b, pos] = True
+    width = 1 + max(len(pos) for pos in positions)
+    return np.argsort(~read, axis=1, kind="stable")[:, :width]
+
+
+def forward(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfig,
+            rows=None):
+    """Forward pass; returns final hidden states and a backward cache.
+
+    With ``rows`` (B×R, distinct within a sequence) the last block runs
+    its queries and everything after them at those positions only, so
+    ``hidden`` is B×R×H and its row r of sequence b is position
+    ``rows[b, r]``; None gives every position (B×L×H)."""
     x, scale, bias = _embed(ids, valid, params, cfg)
     layers = []
     for i in range(cfg.num_layers):
-        x, lay = _block(x, scale, bias, params, cfg, i)
+        x, lay = _block(x, scale, bias, params, cfg, i,
+                        rows if i == cfg.num_layers - 1 else None)
         layers.append(lay)
     hidden, lnf_cache = layer_norm(x, params["ln_f.g"], params["ln_f.b"], cfg.layer_norm_eps)
-    return hidden, {"ids": ids, "scale": scale, "layers": layers, "lnf": lnf_cache,
-                    "length": ids.shape[1]}
+    return hidden, {"ids": ids, "scale": scale, "layers": layers, "lnf": lnf_cache}
 
 
 def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) -> Params:
-    """Analytic gradients of every parameter given d loss / d hidden."""
-    grads = zero_grads(params)  # mlm head grads stay zero; it has its own backward
+    """Analytic gradients of every parameter but the masked-token head's
+    (``mlm_head_backward`` gives those), in ``params`` order, given
+    d loss / d hidden at the rows ``forward`` returned."""
+    grads: Params = {}
     dx, grads["ln_f.g"], grads["ln_f.b"] = layer_norm_backward(
         d_hidden, cache["lnf"], params["ln_f.g"]
     )
@@ -281,7 +321,7 @@ def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) ->
             dh2, lay["ln2"], params[p + "ln2.g"]
         )
         dx1 += dx
-        # x1 = x_in + merge(attn @ v) @ wo + bo
+        # x1 = x_in[rows] + merge(attn @ v) @ wo + bo
         dctx = dx1 @ params[p + "attn.wo"].T
         grads[p + "attn.wo"] = lay["ctx"].reshape(-1, h).T @ dx1.reshape(-1, h)
         grads[p + "attn.bo"] = dx1.reshape(-1, h).sum(axis=0)
@@ -292,19 +332,26 @@ def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) ->
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
         dq = dscores @ lay["k"] * cache["scale"]
         dk = dscores.swapaxes(-1, -2) @ lay["q"] * cache["scale"]
+        # queries read h1 at the rows only; keys and values read all of it
         dh1 = np.zeros_like(lay["h1"])
-        for name, dmat in (("wq", dq), ("wk", dk), ("wv", dv)):
-            flat = _merge_heads(dmat).reshape(-1, h)
-            grads[p + "attn." + name] = lay["h1"].reshape(-1, h).T @ flat
+        for name, dmat, h_in, rows in (("wq", dq, lay["h1q"], lay["rows"]),
+                                       ("wk", dk, lay["h1"], None),
+                                       ("wv", dv, lay["h1"], None)):
+            merged = _merge_heads(dmat)
+            flat = merged.reshape(-1, h)
+            grads[p + "attn." + name] = h_in.reshape(-1, h).T @ flat
             grads[p + "attn.b" + name[1]] = flat.sum(axis=0)
-            dh1 += flat.reshape(dh1.shape) @ params[p + "attn." + name].T
-        dx_in, grads[p + "ln1.g"], grads[p + "ln1.b"] = layer_norm_backward(
+            _add_at(dh1, rows, merged @ params[p + "attn." + name].T)
+        dx, grads[p + "ln1.g"], grads[p + "ln1.b"] = layer_norm_backward(
             dh1, lay["ln1"], params[p + "ln1.g"]
         )
-        dx = dx_in + dx1
-    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), dx.reshape(-1, h))
-    grads["pos_emb"][: cache["length"]] = dx.sum(axis=0)
-    return grads
+        _add_at(dx, lay["rows"], dx1)
+    ids = cache["ids"]
+    grads["tok_emb"] = np.zeros_like(params["tok_emb"])
+    np.add.at(grads["tok_emb"], ids.reshape(-1), dx.reshape(-1, h))
+    grads["pos_emb"] = np.zeros_like(params["pos_emb"])
+    grads["pos_emb"][: ids.shape[1]] = dx.sum(axis=0)
+    return {name: grads[name] for name in params if name in grads}
 
 
 def _cls_states(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfig):
@@ -312,9 +359,10 @@ def _cls_states(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: Encoder
     cache. The last block runs for position 0 only: no other row reaches
     the embedding."""
     x, scale, bias = _embed(ids, valid, params, cfg)
+    cls_rows = np.zeros((len(ids), 1), dtype=np.int64)
     for i in range(cfg.num_layers):
-        rows = slice(0, 1) if i == cfg.num_layers - 1 else slice(None)
-        x = _block(x, scale, bias, params, cfg, i, rows)[0]
+        x = _block(x, scale, bias, params, cfg, i,
+                   cls_rows if i == cfg.num_layers - 1 else None)[0]
     return layer_norm(x[:, 0], params["ln_f.g"], params["ln_f.b"], cfg.layer_norm_eps)[0]
 
 
@@ -510,6 +558,23 @@ def config_from_meta(cls, meta: dict, key: str, path: str, error: type[Exception
         raise error(f"{what} is invalid: {exc}") from None
 
 
+def check_layout(path: str, arrays: dict[str, np.ndarray], expected: dict[str, np.ndarray],
+                 error: type[Exception]) -> None:
+    """Raise ``error("<path>: ...")`` naming the first array of ``expected``
+    that ``arrays`` lacks or holds with another shape or dtype, or else
+    the first array that ``expected`` does not name."""
+    for name, want in expected.items():
+        got = arrays.get(name)
+        if got is None:
+            raise error(f"{path}: array {name!r} is missing")
+        if got.shape != want.shape or got.dtype != want.dtype:
+            raise error(f"{path}: array {name!r} is {got.dtype} {got.shape}, "
+                        f"expected {want.dtype} {want.shape}")
+    extra = [name for name in arrays if name not in expected]
+    if extra:
+        raise error(f"{path}: unexpected array {extra[0]!r}")
+
+
 def save_params(path: str, params: Params, cfg: EncoderConfig) -> None:
     save_arrays(path, params, {"kind": "encoder-params", "version": 1, "config": cfg.to_json()})
 
@@ -518,4 +583,6 @@ def load_params(path: str) -> tuple[Params, EncoderConfig]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "encoder-params":
         raise EncoderError(f"{path}: store does not hold encoder params")
-    return arrays, config_from_meta(EncoderConfig, meta, "config", path, EncoderError)
+    cfg = config_from_meta(EncoderConfig, meta, "config", path, EncoderError)
+    check_layout(path, arrays, init_params(cfg), EncoderError)
+    return arrays, cfg

@@ -121,11 +121,13 @@ class Adam:
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for name, g in grads.items():
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            mhat = self.m[name] / b1c
-            vhat = self.v[name] / b2c
-            params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            # in place, with the bits of m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            params[name] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def clip_global_norm(grads: enc.Params, max_norm: float) -> float:
@@ -142,10 +144,11 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng([seed, step])
 
 
-def checkpoint_arrays(params, opt: Adam):
+def checkpoint_arrays(params, m, v):
+    """The arrays of a checkpoint: params and the Adam moments ``m``, ``v``."""
     arrays = dict(params)
-    arrays.update({f"opt.m.{k}": v for k, v in opt.m.items()})
-    arrays.update({f"opt.v.{k}": v for k, v in opt.v.items()})
+    arrays.update({f"opt.m.{k}": a for k, a in m.items()})
+    arrays.update({f"opt.v.{k}": a for k, a in v.items()})
     return arrays
 
 
@@ -158,24 +161,30 @@ def save_checkpoint(path, params, opt: Adam, step: int, enc_cfg, train_cfg, hp) 
         "train_config": asdict(train_cfg),
         "circle_loss": asdict(hp),
     }
-    enc.save_arrays(path, checkpoint_arrays(params, opt), meta)
+    enc.save_arrays(path, checkpoint_arrays(params, opt.m, opt.v), meta)
 
 
 def load_checkpoint(path):
     """Returns (params, opt_moments, step, encoder config, train config,
-    circle-loss params)."""
+    circle-loss params). The arrays must be exactly the params of the
+    stored encoder config and one moment of each kind per param, with
+    their shapes and dtypes."""
     arrays, meta = enc.load_arrays(path)
     if meta.get("kind") != "train-checkpoint":
         raise TrainingError(f"{path}: not a training checkpoint")
-    params = {k: v for k, v in arrays.items() if not k.startswith("opt.")}
-    m = {k[len("opt.m."):]: v for k, v in arrays.items() if k.startswith("opt.m.")}
-    v = {k[len("opt.v."):]: v for k, v in arrays.items() if k.startswith("opt.v.")}
     enc_cfg = enc.config_from_meta(enc.EncoderConfig, meta, "config", path, TrainingError)
     train_cfg = enc.config_from_meta(TrainConfig, meta, "train_config", path, TrainingError)
     hp = enc.config_from_meta(CircleLossParams, meta, "circle_loss", path, TrainingError)
     step = meta.get("step")
     if type(step) is not int or step < 0:
         raise TrainingError(f"{path}: stored step must be an integer >= 0, got {step!r}")
+    init = enc.init_params(enc_cfg)
+    enc.check_layout(path, arrays, checkpoint_arrays(init, init, init), TrainingError)
+    # in init_params order, as in a run from scratch: the global gradient
+    # norm sums over the params in this order, so the bits depend on it
+    params = {k: arrays[k] for k in init}
+    m = {k: arrays["opt.m." + k] for k in init}
+    v = {k: arrays["opt.v." + k] for k in init}
     return params, (m, v), step, enc_cfg, train_cfg, hp
 
 
@@ -242,14 +251,17 @@ def train(
             enc.mlm_mask(facts_ids[cid], rng, rate=cfg.mask_rate) for cid in batch_ids
         ]
         ids, valid = enc.pad_batch([m.input_ids for m in masked])
-        rows = np.concatenate(
+        # the last layer runs only at [CLS] and the masked positions; mlm_mask
+        # sorts its positions, so sequence i's k-th one is its row k + 1
+        rows = enc.read_rows([m.positions for m in masked], ids.shape[1])
+        seq = np.concatenate(
             [np.full(len(m.positions), i, dtype=np.int64) for i, m in enumerate(masked)]
         )
-        cols = np.concatenate([np.asarray(m.positions, dtype=np.int64) for m in masked])
+        col = np.concatenate([np.arange(1, len(m.positions) + 1) for m in masked])
         targets = np.concatenate([np.asarray(m.target_ids, dtype=np.int64) for m in masked])
 
-        hidden, cache = enc.forward(ids, valid, params, enc_cfg)
-        logits, gathered = enc.mlm_logits(hidden, rows, cols, params)
+        hidden, cache = enc.forward(ids, valid, params, enc_cfg, rows=rows)
+        logits, gathered = enc.mlm_logits(hidden, seq, col, params)
         mlm_value, dlogits = enc.mlm_loss_and_grad(logits, targets, mean=cfg.mlm_mean)
         embeddings = hidden[:, 0, :]
         try:
@@ -261,11 +273,10 @@ def train(
         dgathered, dw_head, db_head = enc.mlm_head_backward(dlogits, gathered, params)
         d_hidden = np.zeros_like(hidden)
         # masked positions are distinct, so assignment equals accumulation
-        d_hidden[rows, cols] = dgathered
+        d_hidden[seq, col] = dgathered
         d_hidden[:, 0, :] += hp.mix * d_emb
         grads = enc.backward(d_hidden, cache, params, enc_cfg)
-        grads["mlm.w"] += dw_head
-        grads["mlm.b"] += db_head
+        grads["mlm.w"], grads["mlm.b"] = dw_head, db_head
 
         grad_norm = clip_global_norm(grads, cfg.grad_clip)
         if not (math.isfinite(total) and math.isfinite(grad_norm)):

@@ -378,6 +378,15 @@ def _first_case_with(corpus_dir, **fields):
     return json.dumps({**case, **fields}) + "\n"
 
 
+def _damaged_params(corpus_dir, edit):
+    """The trained model's params store after ``edit(arrays)``, as bytes."""
+    arrays, meta = load_arrays(str(corpus_dir.parent / "run" / "encoder.params"))
+    edit(arrays)
+    out = corpus_dir.parent / "damaged.params"
+    save_arrays(str(out), arrays, meta)
+    return out.read_bytes()
+
+
 class TestMalformedFiles:
     """A file with a bad line or row ends in exit 2 with a message that
     starts with its path, and a bad option value with one that names the
@@ -427,19 +436,30 @@ class TestMalformedFiles:
          lambda d: '{"query_id": "q", "facts": ""}\n', ":1: query 'q': facts must be nonempty"),
         (["evaluate", "--run", "RUN", "--qrels", "QRELS", "--ks", "10,x"],
          lambda d: "", "--ks must be comma-separated integers, got '10,x'"),
+        (["encode", "--checkpoint", "BAD", "--vocab", "VOCAB", "--cases", "CASES"],
+         lambda d: _damaged_params(d, lambda a: a.pop("ln_f.g")),
+         ": array 'ln_f.g' is missing"),
+        (["encode", "--checkpoint", "BAD", "--vocab", "VOCAB", "--cases", "CASES"],
+         lambda d: _damaged_params(d, lambda a: a.update(tok_emb=a["tok_emb"][:-3])),
+         ": array 'tok_emb' is float64 (47, 16), expected float64 (50, 16)"),
     ], ids=["case-not-object", "query-not-object", "query-facts-number", "articles-string",
             "facts-number", "encode-repeated-id", "weights-repeated-id", "weights-header-only",
             "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields",
             "run-repeated-pair", "qrels-repeated-pair", "case-id-empty", "case-facts-empty",
-            "query-facts-empty", "ks-not-integer"])
+            "query-facts-empty", "ks-not-integer", "params-without-array",
+            "params-cut-array"])
     def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
                                         message):
         model = tmp_path / "run"
-        if "PARAMS" in argv:
+        if "VOCAB" in argv:
             assert pretrain(corpus_dir, model, "--steps", "1") == 0
             capsys.readouterr()
         bad = tmp_path / "bad.txt"
-        bad.write_text(text(corpus_dir))
+        content = text(corpus_dir)
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
         run = tmp_path / "run.tsv"
         run.write_text("q\t1\tc\t0.5\n")
         paths = {"ARTICLES": corpus_dir / "articles.json", "CASES": corpus_dir / "cases.jsonl",
@@ -511,6 +531,24 @@ class TestResume:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: stored ")
         assert detail in err
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda a: a.pop("opt.m.mlm.b"), "array 'opt.m.mlm.b' is missing"),
+        (lambda a: a.pop("layers.0.ffn.w1"), "array 'layers.0.ffn.w1' is missing"),
+        (lambda a: a.update({"layers.0.ffn.w1": a["layers.0.ffn.w1"][:, :-1]}),
+         "array 'layers.0.ffn.w1' is float64 (16, 23), expected float64 (16, 24)"),
+        (lambda a: a.update({"opt.v.ln_f.b": a["opt.v.ln_f.b"].astype("float32")}),
+         "array 'opt.v.ln_f.b' is float32 (16,), expected float64 (16,)"),
+        (lambda a: a.update({"opt.m.extra": a["ln_f.b"]}), "unexpected array 'opt.m.extra'"),
+    ], ids=["missing-moment", "missing-param", "param-shape", "moment-dtype", "extra-array"])
+    def test_damaged_arrays_exit_2_naming_the_array(self, tmp_path, corpus_dir, ckpt, capsys,
+                                                    edit, detail):
+        arrays, meta = load_arrays(str(ckpt))
+        edit(arrays)
+        save_arrays(str(ckpt), arrays, meta)
+        code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3", "--resume", str(ckpt))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: {detail}\n"
 
     def test_changed_mix_exits_2(self, tmp_path, corpus_dir, ckpt, capsys):
         code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3",

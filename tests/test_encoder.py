@@ -341,26 +341,44 @@ class TestMlmLoss:
         assert np.abs(dlogits).max() < 1e-15
 
 
-def combined_loss(params, cfg, ids, valid, rows, cols, targets, probe):
-    hidden, cache = enc.forward(ids, valid, params, cfg)
-    logits, gathered = enc.mlm_logits(hidden, rows, cols, params)
+def masked_loss(params, cfg, ids, valid, positions, targets, probe, restricted=False):
+    """Masked-token NLL at ``positions[b]`` of each sequence b plus
+    <probe, [CLS] state>, and every gradient: through ``forward`` with
+    ``read_rows`` when ``restricted``, else over every position. Returns
+    (value, grads, hidden, rows)."""
+    rows = enc.read_rows(positions, ids.shape[1]) if restricted else None
+    seq = np.concatenate([np.full(len(pos), b) for b, pos in enumerate(positions)])
+    col = np.concatenate([np.arange(1, len(pos) + 1) if restricted else np.asarray(pos)
+                          for pos in positions])
+    hidden, cache = enc.forward(ids, valid, params, cfg, rows=rows)
+    logits, gathered = enc.mlm_logits(hidden, seq, col, params)
     value, dlogits = enc.mlm_loss_and_grad(logits, targets)
     value += float((hidden[:, 0, :] * probe).sum())
     dgathered, dw, db = enc.mlm_head_backward(dlogits, gathered, params)
     d_hidden = np.zeros_like(hidden)
-    np.add.at(d_hidden, (rows, cols), dgathered)
+    d_hidden[seq, col] = dgathered
     d_hidden[:, 0, :] += probe
     grads = enc.backward(d_hidden, cache, params, cfg)
-    grads["mlm.w"] += dw
-    grads["mlm.b"] += db
-    return value, grads
+    grads["mlm.w"], grads["mlm.b"] = dw, db
+    return value, grads, hidden, rows
 
 
-def combined_loss_value(params, cfg, ids, valid, rows, cols, targets, probe):
-    hidden, _ = enc.forward(ids, valid, params, cfg)
-    logits, _ = enc.mlm_logits(hidden, rows, cols, params)
-    value, _ = enc.mlm_loss_and_grad(logits, targets)
-    return value + float((hidden[:, 0, :] * probe).sum())
+def assert_gradients_match_finite_differences(params, value, grads, eps=1e-5):
+    """Central differences of ``value()`` in every entry of every param."""
+    for name in sorted(params):
+        numeric = np.zeros_like(params[name])
+        it = np.nditer(params[name], flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = params[name][idx]
+            params[name][idx] = orig + eps
+            up = value()
+            params[name][idx] = orig - eps
+            down = value()
+            params[name][idx] = orig
+            numeric[idx] = (up - down) / (2 * eps)
+        err = max_relative_error(grads[name], numeric)
+        assert err < 1e-4, f"{name}: max relative error {err}"
 
 
 def gradcheck_setup(cfg, scale=0.4, seed=5):
@@ -371,52 +389,99 @@ def gradcheck_setup(cfg, scale=0.4, seed=5):
             params[name] = rng.normal(0.0, scale, params[name].shape)
     seqs = [[enc.CLS_ID, 5, 6, 7, enc.SEP_ID], [enc.CLS_ID, 8, 7, enc.SEP_ID]]
     ids, valid = enc.pad_batch(seqs)
-    rows = np.array([0, 0, 1])
-    cols = np.array([1, 3, 2])
+    positions = [[1, 3], [2]]
     targets = np.array([5, 7, 7])
     probe = rng.normal(0.0, 1.0, (2, cfg.hidden_size))
-    return params, (ids, valid, rows, cols, targets, probe)
+    return params, (ids, valid, positions, targets, probe)
 
 
 class TestBackward:
     def test_all_parameter_gradients_match_finite_differences(self):
         cfg = tiny_config()
         params, inputs = gradcheck_setup(cfg)
-        _, grads = combined_loss(params, cfg, *inputs)
-        eps = 1e-5
-        for name in sorted(params):
-            numeric = np.zeros_like(params[name])
-            it = np.nditer(params[name], flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = params[name][idx]
-                params[name][idx] = orig + eps
-                up = combined_loss_value(params, cfg, *inputs)
-                params[name][idx] = orig - eps
-                down = combined_loss_value(params, cfg, *inputs)
-                params[name][idx] = orig
-                numeric[idx] = (up - down) / (2 * eps)
-            err = max_relative_error(grads[name], numeric)
-            assert err < 1e-4, f"{name}: max relative error {err}"
+        grads = masked_loss(params, cfg, *inputs)[1]
+        assert_gradients_match_finite_differences(
+            params, lambda: masked_loss(params, cfg, *inputs)[0], grads)
 
     def test_pad_positions_get_zero_gradient(self):
         cfg = tiny_config()
         params, inputs = gradcheck_setup(cfg)
-        _, grads = combined_loss(params, cfg, *inputs)
+        grads = masked_loss(params, cfg, *inputs)[1]
         assert np.array_equal(grads["tok_emb"][enc.PAD_ID], np.zeros(cfg.hidden_size))
 
     def test_unused_token_row_gets_zero_gradient(self):
         cfg = tiny_config()
         params, inputs = gradcheck_setup(cfg)
-        _, grads = combined_loss(params, cfg, *inputs)
+        grads = masked_loss(params, cfg, *inputs)[1]
         # token id 4 ([MASK]) never occurs in the batch
         assert np.array_equal(grads["tok_emb"][4], np.zeros(cfg.hidden_size))
 
     def test_positions_beyond_batch_length_get_zero_gradient(self):
         cfg = tiny_config()
         params, inputs = gradcheck_setup(cfg)
-        _, grads = combined_loss(params, cfg, *inputs)
+        grads = masked_loss(params, cfg, *inputs)[1]
         assert np.array_equal(grads["pos_emb"][5:], np.zeros_like(grads["pos_emb"][5:]))
+
+
+class TestRestrictedRows:
+    """``forward(..., rows=read_rows(...))``, which runs the last block at
+    [CLS] and the masked positions only, against ``rows=None``, which runs
+    it at every position."""
+
+    # Lengths 6, 4 and 3, so the batch pads to 6. The sequences read 3, 2
+    # and 1 masked positions, so the second and third are padded with rows
+    # no loss reads; the second reads its last valid position (3) and its
+    # first padded key (4).
+    SEQS = [[enc.CLS_ID, 5, 6, 7, 8, enc.SEP_ID], [enc.CLS_ID, 8, 7, enc.SEP_ID],
+            [enc.CLS_ID, 6, enc.SEP_ID]]
+    POSITIONS = [[2, 3, 5], [3, 4], [1]]
+    TARGETS = np.array([6, 7, 5, 7, 8, 6])
+
+    @classmethod
+    def tiny_case(cls, num_layers):
+        cfg = tiny_config(num_layers=num_layers)
+        params, _ = gradcheck_setup(cfg, seed=num_layers)
+        ids, valid = enc.pad_batch(cls.SEQS)
+        probe = np.random.default_rng(num_layers).normal(0.0, 1.0, (3, cfg.hidden_size))
+        return params, cfg, (ids, valid, cls.POSITIONS, cls.TARGETS, probe)
+
+    @staticmethod
+    def random_case(num_layers):
+        """Nine mixed-length sequences under a wide init, masked at rate 0.3."""
+        cfg = TestEncode.config(num_layers=num_layers)
+        params = spread_params(cfg, seed=num_layers)
+        seqs = random_sequences(9, cfg, seed=num_layers,
+                                lengths=[3, 16, 9, 4, 12, 16, 5, 7, 11])
+        rng = np.random.default_rng(num_layers)
+        masked = [enc.mlm_mask(seq, rng, rate=0.3) for seq in seqs]
+        ids, valid = enc.pad_batch([m.input_ids for m in masked])
+        targets = np.concatenate([m.target_ids for m in masked])
+        probe = rng.normal(0.0, 1.0, (len(seqs), cfg.hidden_size))
+        return params, cfg, (ids, valid, [m.positions for m in masked], targets, probe)
+
+    def test_read_rows_puts_cls_then_positions_then_unread_padding(self):
+        rows = enc.read_rows(self.POSITIONS, 6)
+        assert rows.tolist() == [[0, 2, 3, 5], [0, 3, 4, 1], [0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("case", ["tiny", "random"])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_hidden_and_gradients_match_every_position(self, case, num_layers):
+        params, cfg, inputs = getattr(self, case + "_case")(num_layers)
+        value, grads, hidden, rows = masked_loss(params, cfg, *inputs, restricted=True)
+        full_value, full_grads, full_hidden, _ = masked_loss(params, cfg, *inputs)
+        at_rows = full_hidden[np.arange(len(rows))[:, None], rows]
+        assert np.abs(hidden - at_rows).max() <= 1e-13
+        assert abs(value - full_value) <= 1e-12
+        assert list(grads) == list(full_grads)
+        for name, grad in full_grads.items():
+            assert np.abs(grads[name] - grad).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_all_parameter_gradients_match_finite_differences(self, num_layers):
+        params, cfg, inputs = self.tiny_case(num_layers)
+        grads = masked_loss(params, cfg, *inputs, restricted=True)[1]
+        assert_gradients_match_finite_differences(
+            params, lambda: masked_loss(params, cfg, *inputs, restricted=True)[0], grads)
 
 
 class TestParameterStore:

@@ -108,10 +108,11 @@ class TestTrainLoop:
         )
         assert [r.step for r in resumed_log.steps] == [4, 5, 6]
         for r_full, r_res in zip(full_log.steps[3:], resumed_log.steps):
-            assert r_full.total_loss == pytest.approx(r_res.total_loss, abs=1e-12)
-            assert r_full.grad_norm == pytest.approx(r_res.grad_norm, abs=1e-12)
+            assert r_full.total_loss == r_res.total_loss
+            assert r_full.grad_norm == r_res.grad_norm
+        assert list(resumed_params) == list(full_params)
         for k in full_params:
-            assert np.allclose(full_params[k], resumed_params[k], atol=1e-12)
+            assert np.array_equal(full_params[k], resumed_params[k])
 
     def test_resume_with_other_train_config_is_refused(self, tmp_path):
         corpus, table, vocab, enc_cfg = make_setup()
@@ -225,6 +226,33 @@ class TestTrainLoop:
         run(3, corpus, table, vocab, enc_cfg, resample_quadruples=True)
         assert len(seen) == 3
 
+    def test_each_step_calls_encoder_forward_and_backward_once_with_rows(self, monkeypatch):
+        """``train`` reaches the encoder through ``casevec.encoder.forward``
+        and ``backward``, once each per step, and runs the last layer at
+        [CLS] and the masked positions only. The benchmark's tracer times
+        the step by wrapping these two names."""
+        corpus, table, vocab, enc_cfg = make_setup()
+        calls = {"forward": [], "backward": 0}
+        forward, backward = enc.forward, enc.backward
+
+        def spy_forward(ids, valid, params, cfg, rows=None):
+            calls["forward"].append((ids.shape, rows))
+            return forward(ids, valid, params, cfg, rows=rows)
+
+        def spy_backward(*args, **kwargs):
+            calls["backward"] += 1
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(enc, "forward", spy_forward)
+        monkeypatch.setattr(enc, "backward", spy_backward)
+        run(3, corpus, table, vocab, enc_cfg)
+        assert len(calls["forward"]) == 3
+        assert calls["backward"] == 3
+        for (batch, length), rows in calls["forward"]:
+            assert rows is not None
+            assert rows.shape[0] == batch and 1 < rows.shape[1] < length
+            assert (rows[:, 0] == 0).all()
+
     def test_single_small_step_decreases_loss_on_fixed_batch(self):
         """One plain gradient step with a tiny rate lowers the combined
         loss recomputed on the identical batch and masks."""
@@ -256,8 +284,7 @@ class TestTrainLoop:
             np.add.at(dh, (rows, cols), dgat)
             dh[:, 0, :] += hp.mix * d_emb
             grads = enc.backward(dh, cache, p, enc_cfg)
-            grads["mlm.w"] += dw
-            grads["mlm.b"] += db
+            grads["mlm.w"], grads["mlm.b"] = dw, db
             return mlm_value + hp.mix * circle_value, grads
 
         before, grads = loss_and_grads(params)
@@ -273,6 +300,34 @@ class TestAdam:
         for _ in range(200):
             opt.step(params, {"x": 2.0 * params["x"]})
         assert abs(params["x"][0]) < 0.05
+
+    def test_in_place_update_matches_the_allocating_one_bit_for_bit(self):
+        """Params and moments equal those of Adam written with one new array
+        per expression, after several steps from a resumed state."""
+        rng = np.random.default_rng(3)
+        shapes = {"w": (5, 7), "b": (7,), "s": (1,)}
+        params = {k: rng.normal(0.0, 1.0, s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        opt = Adam(params, lr=0.01)
+        opt.m = {k: rng.normal(0.0, 0.1, s) for k, s in shapes.items()}
+        opt.v = {k: rng.uniform(0.0, 0.1, s) for k, s in shapes.items()}
+        opt.t = 3
+        m = {k: v.copy() for k, v in opt.m.items()}
+        v = {k: x.copy() for k, x in opt.v.items()}
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
+        for t in range(4, 12):
+            grads = {k: rng.normal(0.0, 1.0, s) for k, s in shapes.items()}
+            opt.step(params, grads)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                mhat = m[k] / (1.0 - b1**t)
+                vhat = v[k] / (1.0 - b2**t)
+                ref[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+        for k in shapes:
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(opt.m[k], m[k])
+            assert np.array_equal(opt.v[k], v[k])
 
     def test_clip_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
