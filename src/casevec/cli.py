@@ -38,7 +38,7 @@ from .evaluation import (
     save_run,
 )
 from .files import open_output
-from .relevance import WeightTable, load_cases, pairwise_weights
+from .relevance import WeightTable, load_cases, load_citing_cases, pairwise_weights
 from .sampling import build_batch, class_partition, sample_quadruples
 from .synth import SynthSpec, generate, load_labels, write_corpus
 from .text import TokenizerConfig, tokenize
@@ -270,7 +270,7 @@ def _cmd_expand_articles(args) -> int:
 def _weight_table(args, opts, tok):
     """Branch corpus, cases and their weight table from --articles and --cases."""
     corpus = build_corpus(load_article_specs(args.articles), tok)
-    cases = load_cases(args.cases)
+    cases = load_citing_cases(args.cases, args.articles, corpus.by_article)
     index = build_index(corpus, tok, k1=opts["k1"], b=opts["b"])
     return corpus, cases, pairwise_weights(cases, compute_profiles(cases, corpus, index))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,18 +200,60 @@ def pairwise_weights(
 ) -> WeightTable:
     """Weight table over all ordered pairs of the given cases.
 
+    Every entry equals ``weight(case_i, case_j, profiles).value``, but the
+    table is computed per article, not per pair: the overlap term from the
+    case×article incidence matrix, and for each article the cosines of its
+    citing cases' score vectors from their Gram matrix and the peaks from a
+    row argmax. ``rel`` is then 1 where two cases share a peak in some
+    shared article, else the largest cosine over their shared articles.
+
     The diagonal equals 1 whenever a case's holding has lexical contact
     with at least one branch of one of its articles; a case with all-zero
     score vectors scores 0 even against itself.
     """
     ids = [case.case_id for case in cases]
-    if len(set(ids)) != len(ids):
-        raise RelevanceError("case ids must be unique")
-    matrix = np.zeros((len(ids), len(ids)), dtype=np.float64)
-    for i, ci in enumerate(cases):
-        for j, cj in enumerate(cases):
-            matrix[i, j] = weight(ci, cj, profiles).value
-    return WeightTable(ids, matrix)
+    seen: set[str] = set()
+    for cid in ids:
+        if cid in seen:
+            raise RelevanceError(f"case id {cid!r} is not unique")
+        seen.add(cid)
+    citing: dict[str, list[int]] = {}  # article id -> positions of the cases citing it
+    for i, case in enumerate(cases):
+        if not case.articles:
+            raise RelevanceError(f"case {case.case_id!r} has an empty article set")
+        for article_id in sorted(case.articles):
+            citing.setdefault(article_id, []).append(i)
+    n = len(ids)
+    incidence = np.zeros((n, len(citing)), dtype=np.float64)
+    for k, rows in enumerate(citing.values()):
+        incidence[rows, k] = 1.0
+    # small integer counts, so |A_i ∩ A_j| and |A_i| are exact
+    overlap = (incidence @ incidence.T) / incidence.sum(axis=1)[:, None]
+    same_peak = np.zeros((n, n), dtype=bool)
+    best_cos = np.zeros((n, n), dtype=np.float64)
+    for article_id, rows in citing.items():
+        vectors = []
+        for i in rows:
+            vector = profiles[ids[i]].vectors.get(article_id)
+            if vector is None:
+                raise RelevanceError(
+                    f"profile of case {ids[i]!r} does not cover its article {article_id!r}"
+                )
+            vectors.append(vector)
+        scores = np.array(vectors, dtype=np.float64)
+        gram = scores @ scores.T
+        # each norm comes from the Gram diagonal, not a second reduction, so
+        # BLAS sums it in the same order as the dots it divides, as
+        # _cosine's np.linalg.norm and np.dot do
+        norms = np.sqrt(np.diagonal(gram))
+        nonzero = norms != 0.0
+        cos = np.divide(gram, np.outer(norms, norms), out=np.zeros_like(gram),
+                        where=nonzero[:, None] & nonzero)
+        peak = np.where(scores.any(axis=1), scores.argmax(axis=1), -1)
+        block = np.ix_(rows, rows)
+        same_peak[block] |= (peak[:, None] == peak) & (peak >= 0)
+        best_cos[block] = np.maximum(best_cos[block], cos)
+    return WeightTable(ids, overlap * np.where(same_peak, 1.0, best_cos))
 
 
 def read_json_objects(path: str, error: type[Exception]):
@@ -233,7 +276,32 @@ def load_cases(path: str) -> list[CaseDocument]:
     """Read cases from JSON lines with fields case_id, facts, holding,
     decision, articles[]. Text fields are strings, articles a list of
     strings, and no case_id repeats."""
+    return [case for _, case in _read_cases(path)]
+
+
+def load_citing_cases(
+    path: str, articles_path: str, article_ids: Iterable[str]
+) -> list[CaseDocument]:
+    """:func:`load_cases` for a weight table: every case must cite at least
+    one article, and only articles in ``article_ids``, the ones
+    ``articles_path`` defines."""
     cases = []
+    for where, case in _read_cases(path):
+        if not case.articles:
+            raise RelevanceError(f"{where}: case {case.case_id!r} cites no article")
+        unknown = sorted(case.articles.difference(article_ids))
+        if unknown:
+            raise RelevanceError(
+                f"{where}: case {case.case_id!r} cites article {unknown[0]!r},"
+                f" which {articles_path} does not define"
+            )
+        cases.append(case)
+    return cases
+
+
+def _read_cases(path: str):
+    """Yield ``("<path>:<line>", case)`` for each case of a JSON-lines file,
+    checked as :func:`load_cases` says; a file without a case raises."""
     first_line: dict[str, int] = {}
     for lineno, obj in read_json_objects(path, RelevanceError):
         where = f"{path}:{lineno}"
@@ -256,10 +324,9 @@ def load_cases(path: str) -> list[CaseDocument]:
                 f"{where}: case_id {case.case_id!r} repeats line {first_line[case.case_id]}"
             )
         first_line[case.case_id] = lineno
-        cases.append(case)
-    if not cases:
+        yield where, case
+    if not first_line:
         raise RelevanceError(f"{path}: holds no case")
-    return cases
 
 
 def save_cases(cases: list[CaseDocument], path: str) -> None:

@@ -366,6 +366,7 @@ class TestEmptyInputs:
 
 
 FIRST_CASE = "case-art-00-b0-000"  # first line of the corpus_dir case file
+SECOND_CASE = "case-art-00-b0-001"
 
 
 def _cases_text(corpus_dir, edit):
@@ -373,9 +374,12 @@ def _cases_text(corpus_dir, edit):
     return "\n".join(edit(lines)) + "\n"
 
 
+def _with(line, **fields):
+    return json.dumps({**json.loads(line), **fields})
+
+
 def _first_case_with(corpus_dir, **fields):
-    case = json.loads((corpus_dir / "cases.jsonl").read_text().splitlines()[0])
-    return json.dumps({**case, **fields}) + "\n"
+    return _with((corpus_dir / "cases.jsonl").read_text().splitlines()[0], **fields) + "\n"
 
 
 def _damaged_params(corpus_dir, edit):
@@ -442,12 +446,24 @@ class TestMalformedFiles:
         (["encode", "--checkpoint", "BAD", "--vocab", "VOCAB", "--cases", "CASES"],
          lambda d: _damaged_params(d, lambda a: a.update(tok_emb=a["tok_emb"][:-3])),
          ": array 'tok_emb' is float64 (47, 16), expected float64 (50, 16)"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _cases_text(d, lambda ls: ls[:1] + [_with(ls[1], articles=["art-00", "zzz"])]),
+         f":2: case '{SECOND_CASE}' cites article 'zzz', which ARTICLES does not define"),
+        (["pretrain", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _first_case_with(d, articles=["zzz"]),
+         f":1: case '{FIRST_CASE}' cites article 'zzz', which ARTICLES does not define"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _cases_text(d, lambda ls: ls[:1] + [_with(ls[1], articles=[])]),
+         f":2: case '{SECOND_CASE}' cites no article"),
+        (["pretrain", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _first_case_with(d, articles=[]), f":1: case '{FIRST_CASE}' cites no article"),
     ], ids=["case-not-object", "query-not-object", "query-facts-number", "articles-string",
             "facts-number", "encode-repeated-id", "weights-repeated-id", "weights-header-only",
             "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields",
             "run-repeated-pair", "qrels-repeated-pair", "case-id-empty", "case-facts-empty",
             "query-facts-empty", "ks-not-integer", "params-without-array",
-            "params-cut-array"])
+            "params-cut-array", "weights-unknown-article", "pretrain-unknown-article",
+            "weights-no-article", "pretrain-no-article"])
     def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
                                         message):
         model = tmp_path / "run"
@@ -469,8 +485,19 @@ class TestMalformedFiles:
         named = bad if "BAD" in argv else ""
         argv = [str(paths.get(arg, arg)) for arg in argv]
         assert run_cli(*argv, "--out", str(out / "result")) == 2
+        message = message.replace("ARTICLES", str(paths["ARTICLES"]))
         assert capsys.readouterr().err == f"error: {named}{message}\n"
         assert not out.exists()
+
+    def test_candidates_may_cite_no_article(self, tmp_path, corpus_dir):
+        """Only a weight table needs articles: ``encode`` takes a case
+        without one."""
+        assert pretrain(corpus_dir, tmp_path / "run", "--steps", "1") == 0
+        cases = tmp_path / "cases.jsonl"
+        cases.write_text(_first_case_with(corpus_dir, articles=[]))
+        assert run_cli("encode", "--checkpoint", str(tmp_path / "run" / "encoder.params"),
+                       "--vocab", str(tmp_path / "run" / "vocab.txt"), "--cases", str(cases),
+                       "--out", str(tmp_path / "emb.csv")) == 0
 
 
 class TestResume:

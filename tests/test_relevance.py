@@ -1,13 +1,16 @@
 """Relevance weights: argmax agreement, cosine fallback, directionality."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import casevec
-from casevec.bm25 import SimilarityProfile
+from casevec import relevance
+from casevec.articles import build_corpus
+from casevec.bm25 import SimilarityProfile, build_index, compute_profiles
 from casevec.cli import main as cli_main
 from casevec.relevance import (
     CaseDocument,
@@ -19,6 +22,9 @@ from casevec.relevance import (
     save_cases,
     weight,
 )
+from casevec.sampling import build_batch, class_partition, sample_quadruples
+from casevec.synth import SynthSpec, generate
+from casevec.text import TokenizerConfig
 
 from _helpers import cosine_reference
 
@@ -170,8 +176,36 @@ class TestPairwiseWeights:
 
     def test_duplicate_case_ids_rejected(self):
         cases, profiles = self.make_three()
-        with pytest.raises(RelevanceError, match="unique"):
+        with pytest.raises(RelevanceError, match="case id 'c1' is not unique"):
             pairwise_weights(cases + cases[:1], profiles)
+
+    def test_empty_article_set_names_the_case(self):
+        cases, profiles = self.make_three()
+        cases[1] = case("c2", set())
+        with pytest.raises(RelevanceError, match="case 'c2' has an empty article set"):
+            pairwise_weights(cases, profiles)
+
+    def test_profile_missing_a_cited_article_names_the_case(self):
+        cases, profiles = self.make_three()
+        profiles["c3"] = profile("c3", a=[0.0, 2.0])
+        with pytest.raises(RelevanceError,
+                           match="profile of case 'c3' does not cover its article 'b'"):
+            pairwise_weights(cases, profiles)
+
+    def test_computed_per_article_not_per_pair(self, monkeypatch):
+        """The table never falls back to the scalar oracles."""
+        cases = [case("c1", {"a", "b"}), case("c2", {"b", "c"}), case("c3", {"a", "c"})]
+        profiles = {cid: profile(cid, a=[1.0, 0.5], b=[0.2, 0.9, 0.1], c=[0.3, 0.3])
+                    for cid in ("c1", "c2", "c3")}
+        expected = [[weight(ci, cj, profiles).value for cj in cases] for ci in cases]
+
+        def refuse(*args):
+            raise AssertionError("pairwise_weights called a scalar oracle")
+
+        monkeypatch.setattr(relevance, "weight", refuse)
+        monkeypatch.setattr(relevance, "rel", refuse)
+        monkeypatch.setattr(relevance, "_cosine", refuse)
+        assert pairwise_weights(cases, profiles).matrix.tolist() == expected
 
     def test_csv_round_trip(self, tmp_path):
         cases, profiles = self.make_three()
@@ -203,6 +237,81 @@ class TestPairwiseWeights:
         code = cli_main(["sample", "--weights", str(path), "--out", str(tmp_path / "b.jsonl")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
+
+
+def oracle_matrix(cases, profiles):
+    return np.array([[weight(ci, cj, profiles).value for cj in cases] for ci in cases])
+
+
+def multi_article_corpus(seed):
+    """3-9 cases citing 1-3 of 4 articles of 2-5 branches each. Only the
+    first case cites ``d``, and the last case's whole profile is zero.
+    Vectors are zero, small integers (argmax ties, equal peaks), sparse
+    floats, or a scaled copy of an earlier case's vector (cosine 1)."""
+    rng = np.random.default_rng(seed)
+    branches = {a: int(rng.integers(2, 6)) for a in "abcd"}
+    n = int(rng.integers(3, 10))
+    cases, profiles = [], {}
+    for i in range(n):
+        cited = set(rng.choice(list("abc"), int(rng.integers(1, 4)), replace=False).tolist())
+        if i == 0:
+            cited = {"d", *sorted(cited)[:2]}
+        cid = f"c{i}"
+        cases.append(case(cid, cited))
+        vectors = {}
+        for a, t in branches.items():
+            kind = int(rng.integers(0, 4)) if i < n - 1 else 0
+            if kind == 0:
+                vectors[a] = np.zeros(t)
+            elif kind == 1:
+                vectors[a] = rng.integers(0, 3, t).astype(np.float64)
+            elif kind == 2 or i == 0:
+                vectors[a] = rng.uniform(0.0, 3.0, t) * (rng.random(t) < 0.7)
+            else:
+                vectors[a] = rng.uniform(0.1, 10.0) * profiles[f"c{rng.integers(0, i)}"].vectors[a]
+        profiles[cid] = SimilarityProfile(cid, vectors)
+    return cases, profiles
+
+
+def test_table_matches_the_scalar_oracle_on_multi_article_corpora():
+    """0 and 1 bit-equal, every other entry within 1e-16: the Gram matrix
+    may sum in another order than ``np.dot``."""
+    fractional_overlap = 0
+    for seed in range(240):
+        cases, profiles = multi_article_corpus(seed)
+        expected = oracle_matrix(cases, profiles)
+        got = pairwise_weights(cases, profiles).matrix
+        exact = (expected == 0.0) | (expected == 1.0)
+        assert np.array_equal(got[exact], expected[exact]), seed
+        assert np.abs(got - expected).max() <= 1e-16, seed
+        fractional_overlap += sum(0 < len(ci.articles & cj.articles) < len(ci.articles)
+                                  for ci in cases for cj in cases)
+    assert fractional_overlap > 1000
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(num_articles=2, branches_per_article=3, cases_per_branch=4, queries_per_branch=1,
+              vocab_size=60, noise_rate=0.0),
+    SynthSpec(num_articles=3, branches_per_article=3, cases_per_branch=6, queries_per_branch=2,
+              vocab_size=90, facts_keyword_rate=0.2, noise_rate=0.2),
+], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("seed", [3, 77, 1011])
+def test_sampling_is_unchanged_from_the_oracle_table(spec, seed):
+    """Anchors, positives, their weights and class labels drawn from the
+    table equal those drawn from the scalar oracle's matrix."""
+    tok = TokenizerConfig()
+    corpus = generate(replace(spec, seed=seed))
+    articles = build_corpus(corpus.article_specs, tok)
+    profiles = compute_profiles(corpus.cases, articles, build_index(articles, tok))
+    table = pairwise_weights(corpus.cases, profiles)
+    oracle = WeightTable(table.ids, oracle_matrix(corpus.cases, profiles))
+    for batch in range(8):
+        draws = []
+        for t in (table, oracle):
+            quads = sample_quadruples(t, 4, np.random.default_rng([seed, batch]))
+            ids = build_batch(quads)
+            draws.append((quads, ids, class_partition(ids, t).labels))
+        assert draws[0] == draws[1]
 
 
 def random_table(seed, n=9):
