@@ -14,7 +14,10 @@ The weight is directional: the denominator is the source's article count.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -93,6 +96,13 @@ def rel(
     return best
 
 
+def _profile(profiles: dict[str, SimilarityProfile], case_id: str) -> SimilarityProfile:
+    try:
+        return profiles[case_id]
+    except KeyError:
+        raise RelevanceError(f"profile of case {case_id!r} is missing") from None
+
+
 def weight(
     case_i: CaseDocument,
     case_j: CaseDocument,
@@ -102,8 +112,13 @@ def weight(
     if not case_i.articles:
         raise RelevanceError(f"case {case_i.case_id!r} has an empty article set")
     overlap = len(case_i.articles & case_j.articles) / len(case_i.articles)
-    r = rel(profiles[case_i.case_id], profiles[case_j.case_id], case_i.articles, case_j.articles)
+    r = rel(_profile(profiles, case_i.case_id), _profile(profiles, case_j.case_id),
+            case_i.articles, case_j.articles)
     return RelevanceWeight(case_i.case_id, case_j.case_id, overlap * r)
+
+
+_WEIGHT_CSV_HEADER = ["source_id", "target_id", "value"]
+_BLOCK_ROWS = 2048  # rows parsed at a time, which bounds the row objects alive at once
 
 
 class WeightTable:
@@ -141,57 +156,184 @@ class WeightTable:
         return [self.ids[i] for i in np.flatnonzero(eligible.any(axis=1))]
 
     def to_csv(self, path: str) -> None:
+        """Write a header, then one ``source_id,target_id,value`` row per
+        ordered pair, sources and targets in table order, each value its
+        ``repr``. The bytes are those of ``csv.writer``, one row at a time."""
+        fields = _csv_fields(self.ids)
         with open_output(path, encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["source_id", "target_id", "value"])
-            for src, row in zip(self.ids, self.matrix):
-                writer.writerows([src, tgt, repr(w)] for tgt, w in zip(self.ids, row.tolist()))
+            fh.write(",".join(_WEIGHT_CSV_HEADER) + "\n")
+            for src, row in zip(fields, self.matrix):
+                fh.write("".join([f"{src},{tgt},{w}\n"
+                                  for tgt, w in zip(fields, map(repr, row.tolist()))]))
 
     @classmethod
     def from_csv(cls, path: str) -> "WeightTable":
-        values: dict[tuple[str, str], float] = {}
-        sources: dict[str, None] = {}  # in order of first appearance
-        pending: dict[str, int] = {}  # first line of each target read before it was a source
+        """Read a table in ``to_csv``'s format, in any row order; the ids
+        take the order in which they first appear as a source.
+
+        A file that is not one weight in [0, 1] for every ordered pair of
+        its source ids raises the error a row-by-row reader meets first:
+        a row that does not parse or whose value is out of range, a
+        repeated pair, each with ``<path>:<line>:``; then a file without a
+        row, a target that is never a source (at its first line) and a
+        missing pair. The rows are parsed a block at a time into id codes
+        and values, and every check runs on arrays; the file is read again,
+        up to the bad row, only to find that row's line.
+        """
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header != ["source_id", "target_id", "value"]:
+            if header != _WEIGHT_CSV_HEADER:
                 raise RelevanceError(f"{path}: unexpected weight CSV header {header!r}")
-            for row in reader:
+            rows = _WeightRows(path, reader)
+        return cls(*rows.table())
+
+
+def _csv_fields(ids: list[str]) -> list[str]:
+    """Each id as ``csv.writer`` writes it among other fields: quoted or
+    not by this Python's QUOTE_MINIMAL rules."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for cid in ids:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((cid, ""))
+        fields.append(buf.getvalue()[:-2])  # without the empty field's "," and the "\n"
+    return fields
+
+
+def _parse_block(block: list[list[str]]):
+    """The block's source, target and value columns, the values as floats,
+    or None if some row has not three fields or a value that is no float."""
+    if set(map(len, block)) - {3}:
+        return None
+    fields = list(itertools.chain.from_iterable(block))
+    srcs, tgts, vals = fields[0::3], fields[1::3], fields[2::3]
+    try:
+        return srcs, tgts, np.fromiter(map(float, vals), np.float64, len(vals))
+    except ValueError:
+        return None
+
+
+class _WeightRows:
+    """The rows of a weight CSV as arrays, and the first error in them.
+
+    ``codes`` numbers every id in order of first appearance in either
+    column; ``src``, ``tgt`` and ``values`` hold the rows read, as codes
+    and floats; ``error`` is ``(row, message)`` of the first row that does
+    not parse or whose value is outside [0, 1], and ``csv_error`` what the
+    reader raised. Reading stops at either.
+    """
+
+    def __init__(self, path: str, reader):
+        self.path = path
+        self.codes: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+        self.sources: dict[str, None] = {}  # in order of first appearance as a source
+        self.src: list[np.ndarray] = [np.empty(0, np.int64)]
+        self.tgt: list[np.ndarray] = [np.empty(0, np.int64)]
+        self.values: list[np.ndarray] = [np.empty(0)]
+        self.error: tuple[int, str] | None = None
+        self.csv_error: csv.Error | None = None
+        start = 0  # rows before the block
+        while self.error is None and self.csv_error is None:
+            read = self._add_block(reader, start)
+            if not read:
+                break
+            start += read
+
+    def _add_block(self, reader, start: int) -> int:
+        """Read and add the next block of rows; returns how many were read.
+        The block's row objects are freed on return, before the next is read."""
+        try:
+            block = list(itertools.islice(reader, _BLOCK_ROWS))
+        except csv.Error as exc:
+            # the reader fails on a row after the block's start; the rows
+            # before it are checked first, as a row-by-row reader would
+            self.csv_error = exc
+            block = _rows_from(self.path, start)
+        if not block:
+            return 0
+        columns = _parse_block(block)
+        if columns is None:
+            for i, row in enumerate(block):
                 try:
-                    src, tgt, val = row
-                    value = float(val)
+                    _, _, val = row
+                    float(val)
                 except ValueError as exc:
-                    raise RelevanceError(
-                        f"{path}:{reader.line_num}: bad row {row!r}: {exc}"
-                    ) from None
-                # NaN fails both comparisons
-                if not 0.0 <= value <= 1.0:
-                    raise RelevanceError(
-                        f"{path}:{reader.line_num}: weight {val!r} is not in [0, 1]"
-                    )
-                sources.setdefault(src)
-                if tgt not in sources:
-                    pending.setdefault(tgt, reader.line_num)
-                if (src, tgt) in values:
-                    raise RelevanceError(
-                        f"{path}:{reader.line_num}: duplicate pair ({src!r}, {tgt!r})"
-                    )
-                values[(src, tgt)] = value
-        if not values:
-            raise RelevanceError(f"{path}: holds no weight")
-        for tgt, line in pending.items():
-            if tgt not in sources:
-                raise RelevanceError(f"{path}:{line}: target {tgt!r} is not a source id")
-        ids = list(sources)
-        matrix = np.zeros((len(ids), len(ids)), dtype=np.float64)
-        for i, src in enumerate(ids):
-            for j, tgt in enumerate(ids):
-                try:
-                    matrix[i, j] = values[(src, tgt)]
-                except KeyError:
-                    raise RelevanceError(f"{path}: missing pair ({src!r}, {tgt!r})") from None
-        return cls(ids, matrix)
+                    self.error = (start + i, f"bad row {row!r}: {exc}")
+                    break
+            block = block[:i]
+            columns = _parse_block(block)
+        srcs, tgts, values = columns
+        out = ~((values >= 0.0) & (values <= 1.0))  # NaN fails both comparisons
+        if out.any():
+            i = int(np.argmax(out))
+            self.error = (start + i, f"weight {block[i][2]!r} is not in [0, 1]")
+            srcs, tgts, values = srcs[:i], tgts[:i], values[:i]
+        self.sources.update(dict.fromkeys(srcs))
+        self.src.append(np.fromiter(map(self.codes.__getitem__, srcs), np.int64, len(srcs)))
+        self.tgt.append(np.fromiter(map(self.codes.__getitem__, tgts), np.int64, len(tgts)))
+        self.values.append(values)
+        return len(block)
+
+    def table(self) -> tuple[list[str], np.ndarray]:
+        """The ids and matrix the rows read give, or the error a row-by-row
+        reader raises first."""
+        src, tgt = np.concatenate(self.src), np.concatenate(self.tgt)
+        names = list(self.codes)
+        keys = src * len(names) + tgt
+        order = np.argsort(keys, kind="stable")
+        repeat = keys[order[1:]] == keys[order[:-1]]
+        if repeat.any():
+            row = int(order[1:][repeat].min())  # the first row whose pair came before
+            self._raise_at(row, f"duplicate pair ({names[src[row]]!r}, {names[tgt[row]]!r})")
+        if self.error is not None:
+            self._raise_at(*self.error)
+        if self.csv_error is not None:
+            raise self.csv_error
+        if not len(src):
+            raise RelevanceError(f"{self.path}: holds no weight")
+        is_source = np.zeros(len(names), dtype=bool)
+        is_source[src] = True
+        unknown = ~is_source[tgt]
+        if unknown.any():
+            row = int(np.argmax(unknown))
+            self._raise_at(row, f"target {names[tgt[row]]!r} is not a source id")
+        # every id is a source: renumber the codes in source order
+        ids = list(self.sources)
+        n = len(ids)
+        position = np.empty(n, dtype=np.int64)
+        position[np.fromiter(map(self.codes.__getitem__, ids), np.int64, n)] = np.arange(n)
+        flat = position[src] * n + position[tgt]
+        if len(flat) < n * n:  # no pair repeats, so some pair is missing
+            filled = np.zeros(n * n, dtype=bool)
+            filled[flat] = True
+            i, j = divmod(int(np.argmin(filled)), n)
+            raise RelevanceError(f"{self.path}: missing pair ({ids[i]!r}, {ids[j]!r})")
+        matrix = np.empty(n * n, dtype=np.float64)
+        matrix[flat] = np.concatenate(self.values)
+        return ids, matrix.reshape(n, n)
+
+    def _raise_at(self, row: int, message: str):
+        with open(self.path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            for _ in itertools.islice(reader, row + 2):  # the header and rows 0 to row
+                pass
+            raise RelevanceError(f"{self.path}:{reader.line_num}: {message}")
+
+
+def _rows_from(path: str, start: int) -> list[list[str]]:
+    """The rows of a CSV file from data row ``start`` up to the first that
+    ``csv.reader`` cannot read."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            for row in itertools.islice(csv.reader(fh), start + 1, None):
+                rows.append(row)
+        except csv.Error:
+            pass
+    return rows
 
 
 def pairwise_weights(
@@ -234,7 +376,7 @@ def pairwise_weights(
     for article_id, rows in citing.items():
         vectors = []
         for i in rows:
-            vector = profiles[ids[i]].vectors.get(article_id)
+            vector = _profile(profiles, ids[i]).vectors.get(article_id)
             if vector is None:
                 raise RelevanceError(
                     f"profile of case {ids[i]!r} does not cover its article {article_id!r}"
@@ -275,7 +417,7 @@ def read_json_objects(path: str, error: type[Exception]):
 def load_cases(path: str) -> list[CaseDocument]:
     """Read cases from JSON lines with fields case_id, facts, holding,
     decision, articles[]. Text fields are strings, articles a list of
-    strings, and no case_id repeats."""
+    distinct strings, and no case_id repeats."""
     return [case for _, case in _read_cases(path)]
 
 
@@ -319,6 +461,9 @@ def _read_cases(path: str):
             case.validate()
         except RelevanceError as exc:
             raise RelevanceError(f"{where}: {exc}") from None
+        if len(case.articles) < len(articles):
+            repeated = next(a for k, a in enumerate(articles) if a in articles[:k])
+            raise RelevanceError(f"{where}: case {case.case_id!r} cites article {repeated!r} twice")
         if case.case_id in first_line:
             raise RelevanceError(
                 f"{where}: case_id {case.case_id!r} repeats line {first_line[case.case_id]}"

@@ -5,6 +5,7 @@ with plain loops and scalar arithmetic, deliberately sharing no code with
 the package paths it checks.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -173,6 +174,47 @@ def sample_batches_reference(table, n, rng, floor, threshold, batches, max_retri
                 break
         results.append(outcome)
     return results
+
+
+def weight_csv_reference(path):
+    """``(ids, matrix)`` of a weight CSV, read one row at a time: every
+    check runs as its row is read, and a file that fails one raises
+    ``ValueError`` with the message ``WeightTable.from_csv`` gives."""
+    values = {}
+    sources = {}  # in order of first appearance
+    pending = {}  # first line of each target read before it was a source
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["source_id", "target_id", "value"]:
+            raise ValueError(f"{path}: unexpected weight CSV header {header!r}")
+        for row in reader:
+            try:
+                src, tgt, val = row
+                value = float(val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad row {row!r}: {exc}") from None
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{path}:{reader.line_num}: weight {val!r} is not in [0, 1]")
+            sources.setdefault(src)
+            if tgt not in sources:
+                pending.setdefault(tgt, reader.line_num)
+            if (src, tgt) in values:
+                raise ValueError(f"{path}:{reader.line_num}: duplicate pair ({src!r}, {tgt!r})")
+            values[(src, tgt)] = value
+    if not values:
+        raise ValueError(f"{path}: holds no weight")
+    for tgt, line in pending.items():
+        if tgt not in sources:
+            raise ValueError(f"{path}:{line}: target {tgt!r} is not a source id")
+    ids = list(sources)
+    matrix = np.zeros((len(ids), len(ids)), dtype=np.float64)
+    for i, src in enumerate(ids):
+        for j, tgt in enumerate(ids):
+            if (src, tgt) not in values:
+                raise ValueError(f"{path}: missing pair ({src!r}, {tgt!r})")
+            matrix[i, j] = values[(src, tgt)]
+    return ids, matrix
 
 
 def ndcg_reference(grades_in_rank_order, k):

@@ -13,6 +13,7 @@ import pytest
 from casevec.articles import ArticleBranch, ArticleCorpus, ArticleSpec, build_corpus
 from casevec.bm25 import (
     Bm25Error,
+    Bm25Index,
     bm25_score,
     build_index,
     compute_profiles,
@@ -223,3 +224,68 @@ class TestSimilarityProfile:
         case = CaseDocument("c1", facts="f", holding="ax")
         profile = similarity_profile(case, corpus, index)
         assert profile.vectors["a"][0] > 0.0
+
+
+def random_corpus(rng):
+    """1-4 articles of 1-4 branches over tokens t0-t11, so some articles
+    and some whole corpora have a single branch."""
+    branches, by_article = [], {}
+    for a in range(int(rng.integers(1, 5))):
+        article_id = f"art-{a}"
+        by_article[article_id] = [
+            ArticleBranch(article_id, t, tuple(f"t{k}" for k in rng.integers(0, 12, rng.integers(1, 9))))
+            for t in range(int(rng.integers(1, 5)))
+        ]
+        branches += by_article[article_id]
+    return ArticleCorpus(branches=branches, by_article=by_article)
+
+
+class TestComputeProfiles:
+    def test_bit_equal_to_similarity_profile_on_random_corpora(self):
+        """Holdings of 1-40 tokens repeat tokens and hold tokens t12-t15,
+        which no branch holds."""
+        rng = np.random.default_rng(2024)
+        single_branch = 0
+        for _ in range(150):
+            corpus = random_corpus(rng)
+            single_branch += len(corpus) == 1
+            index = build_index(corpus, k1=float(rng.uniform(0.5, 2.5)),
+                                b=float(rng.uniform(0.0, 1.0)))
+            cases = [
+                CaseDocument(f"c{i}", facts="f", holding=" ".join(
+                    f"t{k}" for k in rng.integers(0, 16, rng.integers(1, 41))))
+                for i in range(int(rng.integers(1, 6)))
+            ]
+            profiles = compute_profiles(cases, corpus, index)
+            assert list(profiles) == [case.case_id for case in cases]
+            for case in cases:
+                expected = similarity_profile(case, corpus, index).vectors
+                got = profiles[case.case_id].vectors
+                assert list(got) == list(expected)
+                for article_id, vector in expected.items():
+                    assert got[article_id].dtype == np.float64
+                    assert got[article_id].tobytes() == vector.tobytes()
+        assert single_branch >= 5
+
+    def test_never_scores_one_branch_at_a_time(self, monkeypatch):
+        corpus = corpus_from_sequences(TOY_DOCS)
+        index = build_index(corpus)
+        cases = [CaseDocument("c1", facts="f", holding="a c d c"),
+                 CaseDocument("c2", facts="f", holding="b zzz")]
+        expected = {case.case_id: similarity_profile(case, corpus, index).vectors["art"]
+                    for case in cases}
+
+        def refuse(*args):
+            raise AssertionError("compute_profiles called score_at")
+
+        monkeypatch.setattr(Bm25Index, "score_at", refuse)
+        profiles = compute_profiles(cases, corpus, index)
+        for cid, vector in expected.items():
+            assert profiles[cid].vectors["art"].tobytes() == vector.tobytes()
+
+    def test_empty_holding_rejected(self):
+        corpus = corpus_from_sequences(TOY_DOCS)
+        cases = [CaseDocument("c1", facts="f", holding="a"),
+                 CaseDocument("c2", facts="f", holding=" , ")]
+        with pytest.raises(Bm25Error, match="case 'c2': holding tokenizes to an empty query"):
+            compute_profiles(cases, corpus, build_index(corpus))

@@ -457,13 +457,16 @@ class TestMalformedFiles:
          f":2: case '{SECOND_CASE}' cites no article"),
         (["pretrain", "--articles", "ARTICLES", "--cases", "BAD"],
          lambda d: _first_case_with(d, articles=[]), f":1: case '{FIRST_CASE}' cites no article"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _cases_text(d, lambda ls: ls[:1] + [_with(ls[1], articles=["art-00", "art-00"])]),
+         f":2: case '{SECOND_CASE}' cites article 'art-00' twice"),
     ], ids=["case-not-object", "query-not-object", "query-facts-number", "articles-string",
             "facts-number", "encode-repeated-id", "weights-repeated-id", "weights-header-only",
             "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields",
             "run-repeated-pair", "qrels-repeated-pair", "case-id-empty", "case-facts-empty",
             "query-facts-empty", "ks-not-integer", "params-without-array",
             "params-cut-array", "weights-unknown-article", "pretrain-unknown-article",
-            "weights-no-article", "pretrain-no-article"])
+            "weights-no-article", "pretrain-no-article", "weights-repeated-article"])
     def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
                                         message):
         model = tmp_path / "run"

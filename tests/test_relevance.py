@@ -1,6 +1,8 @@
 """Relevance weights: argmax agreement, cosine fallback, directionality."""
 
 import ast
+import csv
+import io
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from casevec.sampling import build_batch, class_partition, sample_quadruples
 from casevec.synth import SynthSpec, generate
 from casevec.text import TokenizerConfig
 
-from _helpers import cosine_reference
+from _helpers import cosine_reference, weight_csv_reference
 
 
 def profile(case_id, **vectors):
@@ -192,6 +194,16 @@ class TestPairwiseWeights:
                            match="profile of case 'c3' does not cover its article 'b'"):
             pairwise_weights(cases, profiles)
 
+    def test_missing_profile_names_the_case(self):
+        cases, profiles = self.make_three()
+        del profiles["c2"]
+        with pytest.raises(RelevanceError, match="profile of case 'c2' is missing"):
+            pairwise_weights(cases, profiles)
+        with pytest.raises(RelevanceError, match="profile of case 'c2' is missing"):
+            weight(cases[0], cases[1], profiles)
+        with pytest.raises(RelevanceError, match="profile of case 'c2' is missing"):
+            weight(cases[1], cases[0], profiles)
+
     def test_computed_per_article_not_per_pair(self, monkeypatch):
         """The table never falls back to the scalar oracles."""
         cases = [case("c1", {"a", "b"}), case("c2", {"b", "c"}), case("c3", {"a", "c"})]
@@ -237,6 +249,119 @@ class TestPairwiseWeights:
         code = cli_main(["sample", "--weights", str(path), "--out", str(tmp_path / "b.jsonl")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
+
+
+WEIGHT_IDS = ["c0", "c1", "c2", "c3", "c4", "x,y", 'q"t', "two\nlines", "\u00e9t\u00e9", ""]
+DEFECTS = ["short", "long", "not-float", "nan", "out-of-range", "duplicate", "unknown-target",
+           "missing-pair", "blank", "over-field-limit"]
+
+
+def weight_csv_rows(rng):
+    """Rows of a weight CSV over 1-5 ids, shuffled or not, then 0-3 defects
+    at random lines; or a header-only or bad-header file."""
+    kind = rng.random()
+    if kind < 0.04:
+        return [["source_id", "target_id", "value"]]
+    n = int(rng.integers(1, 6))
+    ids = [WEIGHT_IDS[k] for k in rng.choice(len(WEIGHT_IDS), n, replace=False)]
+    values = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    values[rng.random((n, n)) < 0.1] = 1.0
+    rows = [[a, b, repr(float(values[i, j]))] for i, a in enumerate(ids) for j, b in enumerate(ids)]
+    if rng.random() < 0.5:
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+    for defect in rng.choice(DEFECTS, int(rng.integers(0, 4))):
+        at = int(rng.integers(0, len(rows) + 1))
+        src, tgt = ids[int(rng.integers(0, n))], ids[int(rng.integers(0, n))]
+        if defect == "missing-pair":
+            if rows:
+                del rows[min(at, len(rows) - 1)]
+            continue
+        rows.insert(at, {
+            "short": [src, tgt],
+            "long": [src, tgt, "0.5", "x"],
+            "not-float": [src, tgt, "heavy"],
+            "nan": [src, tgt, "nan"],
+            "out-of-range": [src, tgt, str(rng.choice(["1.5", "-0.25", "inf", "1e-400x"]))],
+            "duplicate": [src, tgt, "0.25"],
+            "unknown-target": [src, "ghost", "0.5"],
+            "blank": [],
+            "over-field-limit": [src, "z" * 80, "0.5"],
+        }[defect])
+    header = ["source_id", "target_id", "value"] if kind > 0.08 else ["source_id", "value"]
+    return [header] + rows
+
+
+def read_outcome(read, path):
+    """What a reader gives for a file: its ids and matrix bytes, or the
+    type and text of the error it raises."""
+    try:
+        ids, matrix = read(path)
+    except (csv.Error, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return ids, matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 2048])
+def test_reader_matches_the_row_by_row_reader(tmp_path, monkeypatch, block_rows):
+    """``from_csv`` against the row-by-row reader on 400 seeded files with
+    quoted ids (``,``, ``"`` and a newline, so rows span lines), shuffled
+    rows, targets read before they are sources, and up to three defects at
+    random lines. A 64-character field limit makes the reader itself fail
+    on the over-limit rows. Both readers give the same ids and matrix, or
+    the same error text, line number included."""
+    def new_reader(path):
+        table = WeightTable.from_csv(path)
+        return table.ids, table.matrix
+
+    def reference_reader(path):
+        try:
+            return weight_csv_reference(path)
+        except ValueError as exc:
+            raise RelevanceError(str(exc)) from None
+
+    monkeypatch.setattr(relevance, "_BLOCK_ROWS", block_rows)
+    limit = csv.field_size_limit(64)
+    seen = {}
+    target_first = 0
+    try:
+        rng = np.random.default_rng(block_rows)
+        for k in range(400):
+            rows = weight_csv_rows(rng)
+            path = str(tmp_path / f"w{k}.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+            expected = read_outcome(reference_reader, path)
+            assert read_outcome(new_reader, path) == expected, path
+            if isinstance(expected[0], str):
+                message = expected[1]
+                key = next((m for m in ("bad row", "is not in [0, 1]", "duplicate pair",
+                                        "is not a source id", "missing pair", "holds no weight",
+                                        "unexpected weight CSV header", "field larger")
+                            if m in message), message)
+                seen[key] = seen.get(key, 0) + 1
+            else:
+                seen["table"] = seen.get("table", 0) + 1
+                sources = set()
+                for src, tgt, _ in rows[1:]:
+                    sources.add(src)
+                    if tgt not in sources:
+                        target_first += 1
+                        break
+    finally:
+        csv.field_size_limit(limit)
+    assert set(seen) == {"table", "bad row", "is not in [0, 1]", "duplicate pair",
+                         "is not a source id", "missing pair", "holds no weight",
+                         "unexpected weight CSV header", "field larger"}, seen
+    assert min(seen.values()) >= 5, seen
+    assert target_first >= 20
+
+
+def test_reader_names_the_line_after_a_multi_line_id(tmp_path):
+    path = tmp_path / "weights.csv"
+    path.write_text('source_id,target_id,value\n"a\nb","a\nb",1.0\n"a\nb","a\nb",0.5\n')
+    with pytest.raises(RelevanceError) as excinfo:
+        WeightTable.from_csv(str(path))
+    assert str(excinfo.value) == f"{path}:7: duplicate pair ('a\\nb', 'a\\nb')"
 
 
 def oracle_matrix(cases, profiles):
@@ -383,14 +508,32 @@ class TestWeightTableAccessors:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_csv_bytes_match_reference(self, tmp_path, seed):
+        """The bytes of ``csv.writer`` writing each pair's row, with
+        ``repr`` of its weight, for plain ids and for ids that need quoting,
+        are not ASCII or are empty; and ``from_csv`` reads back the same
+        table wherever no id holds a lone carriage return, which
+        ``csv.writer`` leaves unquoted."""
         rng = np.random.default_rng(seed)
-        ids = [f"c{k}" for k in rng.permutation(7)]
-        table = WeightTable(ids, rng.uniform(0.0, 1.0, (7, 7)) ** 3)
-        path = tmp_path / "weights.csv"
-        table.to_csv(str(path))
-        reference = "source_id,target_id,value\n" + "".join(
-            f"{a},{b},{table.get(a, b)!r}\n" for a in ids for b in ids)
-        assert path.read_bytes() == reference.encode("utf-8")
+        plain = [f"c{k}" for k in rng.permutation(7)]
+        special = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", "", "\u03a9mega",
+                   "caf\u00e9 \u6848", " pad ", '"']
+        for ids in (plain, special):
+            n = len(ids)
+            table = WeightTable(ids, rng.uniform(0.0, 1.0, (n, n)) ** 3
+                                * (rng.random((n, n)) < 0.7))
+            path = tmp_path / "weights.csv"
+            table.to_csv(str(path))
+            reference = io.StringIO()
+            writer = csv.writer(reference, lineterminator="\n")
+            writer.writerow(["source_id", "target_id", "value"])
+            writer.writerows([a, b, repr(table.get(a, b))] for a in ids for b in ids)
+            assert path.read_bytes() == reference.getvalue().encode("utf-8")
+            readable = [cid for cid in ids if "\r" not in cid]
+            table = WeightTable(readable, table.block(readable))
+            table.to_csv(str(path))
+            loaded = WeightTable.from_csv(str(path))
+            assert loaded.ids == readable
+            assert loaded.matrix.tobytes() == table.matrix.tobytes()
 
 
 def test_only_relevance_reads_the_weight_matrix():
