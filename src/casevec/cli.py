@@ -116,8 +116,6 @@ _TRAIN_OPTS = [
     _Opt("--grad-clip", "global gradient-norm cap, 0 disables", config=TrainConfig),
     _Opt("--mask-rate", "fraction of tokens hidden for prediction", config=TrainConfig),
     _POSITIVE_FLOOR,
-    _Opt("--mlm-sum", "sum the masked-token loss over positions instead of averaging", False),
-    _Opt("--fixed-quadruples", "sample quadruples once and reuse them every step", False),
     _Opt("--checkpoint-every", "steps between checkpoints, 0 = final only", config=TrainConfig),
 ]
 
@@ -317,8 +315,7 @@ def _cmd_pretrain(args) -> int:
         raise CliError(f"--steps must be at least 1, got {opts['steps']}")
     tok = _build(TokenizerConfig, args, opts)
     hp = _build(CircleLossParams, args, opts)
-    train_cfg = _build(TrainConfig, args, opts, mlm_mean=not opts["mlm_sum"],
-                       resample_quadruples=not opts["fixed_quadruples"],
+    train_cfg = _build(TrainConfig, args, opts,
                        checkpoint_dir=os.path.join(args.out, "checkpoints"))
     if args.resume:
         done = load_checkpoint(args.resume)[2]

@@ -443,10 +443,10 @@ def mlm_logits(hidden: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: P
     return gathered @ params["mlm.w"] + params["mlm.b"], gathered
 
 
-def mlm_loss_and_grad(logits: np.ndarray, targets: np.ndarray, mean: bool = False):
-    """Negative log-likelihood of the targets under softmax logits, and its
-    gradient in the logits. Summed over masked positions by definition;
-    ``mean`` averages instead, which is steadier for optimization."""
+def mlm_loss_and_grad(logits: np.ndarray, targets: np.ndarray):
+    """Negative log-likelihood of the targets under softmax logits, averaged
+    over the masked positions, which is steadier for optimization than the
+    sum, and its gradient in the logits."""
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or logits.shape[0] != targets.shape[0]:
         raise EncoderError(
@@ -460,9 +460,7 @@ def mlm_loss_and_grad(logits: np.ndarray, targets: np.ndarray, mean: bool = Fals
     losses = lse - picked
     dlogits = exp / total
     dlogits[np.arange(len(targets)), targets] -= 1.0
-    if mean:
-        return float(losses.mean()), dlogits / len(targets)
-    return float(losses.sum()), dlogits
+    return float(losses.mean()), dlogits / len(targets)
 
 
 def mlm_head_backward(dlogits: np.ndarray, gathered: np.ndarray, params: Params):

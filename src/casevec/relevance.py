@@ -174,7 +174,8 @@ class WeightTable:
         A file that is not one weight in [0, 1] for every ordered pair of
         its source ids raises the error a row-by-row reader meets first:
         a row that does not parse or whose value is out of range, a
-        repeated pair, each with ``<path>:<line>:``; then a file without a
+        repeated pair, a line that ``csv.reader`` cannot read, each with
+        ``<path>:<line>:``; then a file without a
         row, a target that is never a source (at its first line) and a
         missing pair. The rows are parsed a block at a time into id codes
         and values, and every check runs on arrays; the file is read again,
@@ -182,7 +183,10 @@ class WeightTable:
         """
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise RelevanceError(f"{path}:{reader.line_num}: {exc}") from None
             if header != _WEIGHT_CSV_HEADER:
                 raise RelevanceError(f"{path}: unexpected weight CSV header {header!r}")
             rows = _WeightRows(path, reader)
@@ -222,8 +226,9 @@ class _WeightRows:
     ``codes`` numbers every id in order of first appearance in either
     column; ``src``, ``tgt`` and ``values`` hold the rows read, as codes
     and floats; ``error`` is ``(row, message)`` of the first row that does
-    not parse or whose value is outside [0, 1], and ``csv_error`` what the
-    reader raised. Reading stops at either.
+    not parse or whose value is outside [0, 1], and ``csv_error`` the
+    error for what the reader raised, at the line it failed on. Reading
+    stops at either.
     """
 
     def __init__(self, path: str, reader):
@@ -234,7 +239,7 @@ class _WeightRows:
         self.tgt: list[np.ndarray] = [np.empty(0, np.int64)]
         self.values: list[np.ndarray] = [np.empty(0)]
         self.error: tuple[int, str] | None = None
-        self.csv_error: csv.Error | None = None
+        self.csv_error: RelevanceError | None = None
         start = 0  # rows before the block
         while self.error is None and self.csv_error is None:
             read = self._add_block(reader, start)
@@ -250,7 +255,7 @@ class _WeightRows:
         except csv.Error as exc:
             # the reader fails on a row after the block's start; the rows
             # before it are checked first, as a row-by-row reader would
-            self.csv_error = exc
+            self.csv_error = RelevanceError(f"{self.path}:{reader.line_num}: {exc}")
             block = _rows_from(self.path, start)
         if not block:
             return 0
@@ -417,7 +422,8 @@ def read_json_objects(path: str, error: type[Exception]):
 def load_cases(path: str) -> list[CaseDocument]:
     """Read cases from JSON lines with fields case_id, facts, holding,
     decision, articles[]. Text fields are strings, articles a list of
-    distinct strings, and no case_id repeats."""
+    distinct strings, and no case_id repeats or holds a ``\r`` that does
+    not start a ``\r\n``, which a weight CSV could not hold."""
     return [case for _, case in _read_cases(path)]
 
 
@@ -461,6 +467,11 @@ def _read_cases(path: str):
             case.validate()
         except RelevanceError as exc:
             raise RelevanceError(f"{where}: {exc}") from None
+        if "\r" in case.case_id.replace("\r\n", ""):
+            # csv.writer need not quote it, and unquoted it ends the CSV row
+            raise RelevanceError(
+                f"{where}: case_id {case.case_id!r} holds a carriage return without a line feed"
+            )
         if len(case.articles) < len(articles):
             repeated = next(a for k, a in enumerate(articles) if a in articles[:k])
             raise RelevanceError(f"{where}: case {case.case_id!r} cites article {repeated!r} twice")

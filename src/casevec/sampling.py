@@ -18,6 +18,7 @@ from .relevance import WeightTable
 
 DEFAULT_POSITIVE_FLOOR = 0.5
 DEFAULT_CLASS_THRESHOLD = 0.25
+MAX_BATCH_TRIES = 20  # draws of a whole batch before a dead end is an error
 
 
 class SamplingError(RuntimeError):
@@ -79,7 +80,6 @@ def sample_quadruples(
     n: int,
     rng: np.random.Generator,
     floor: float = DEFAULT_POSITIVE_FLOOR,
-    max_retries: int = 20,
 ) -> list[Quadruple]:
     """Sample N quadruples with 2N distinct cases.
 
@@ -87,7 +87,7 @@ def sample_quadruples(
     least one eligible positive; each positive is then drawn among the
     eligible cases not already in the batch. A draw can dead-end when
     earlier picks exhaust an anchor's positives, so the whole batch is
-    resampled a bounded number of times before giving up.
+    resampled up to ``MAX_BATCH_TRIES`` times before giving up.
     """
     if n < 1:
         raise SamplingError(f"need at least one quadruple, got n={n}")
@@ -99,7 +99,7 @@ def sample_quadruples(
             f"only {len(pool)} cases have an eligible positive; cannot draw {n} anchors"
         )
     last_error: NoPositiveAvailable | None = None
-    for _ in range(max_retries):
+    for _ in range(MAX_BATCH_TRIES):
         anchors = [pool[i] for i in rng.choice(len(pool), size=n, replace=False)]
         used = set(anchors)
         quads = []
@@ -113,7 +113,7 @@ def sample_quadruples(
             continue
         return quads
     raise SamplingError(
-        f"could not assemble {n} collision-free quadruples in {max_retries} tries"
+        f"could not assemble {n} collision-free quadruples in {MAX_BATCH_TRIES} tries"
     ) from last_error
 
 

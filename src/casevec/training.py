@@ -52,15 +52,10 @@ class TrainConfig:
     steps: int = 200
     batch_quadruples: int = 4  # N anchors; the batch holds 2N cases
     learning_rate: float = 1e-3  # suits from-scratch training at this scale
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float = 1.0
     seed: int = 0
     mask_rate: float = 0.15
     positive_floor: float = DEFAULT_POSITIVE_FLOOR
-    mlm_mean: bool = True  # mean-reduce the masked-token loss for stability
-    resample_quadruples: bool = True  # fresh quadruples every batch; else fixed at step 1
     checkpoint_every: int = 0  # 0 = final checkpoint only
     checkpoint_dir: str | None = None
 
@@ -110,8 +105,10 @@ class TrainLog:
 class Adam:
     """Adaptive-moment optimizer over a named parameter dict."""
 
-    def __init__(self, params: enc.Params, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma and Ba's defaults
+
+    def __init__(self, params: enc.Params, lr: float):
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -203,7 +200,7 @@ def train(
         c.case_id: enc.build_input_ids(tokenize(c.facts, tok_cfg), vocab, enc_cfg) for c in cases
     }
     params = enc.init_params(enc_cfg)
-    opt = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    opt = Adam(params, cfg.learning_rate)
     start_step = 0
     if resume_from is not None:
         params, (opt.m, opt.v), start_step, ck_enc, ck_train, ck_hp = load_checkpoint(
@@ -228,22 +225,11 @@ def train(
         opt.t = start_step
     log = TrainLog()
     last_checkpoint: str | None = None
-    fixed_quads = None
     t0 = time.monotonic()
 
     for step in range(start_step + 1, cfg.steps + 1):
         rng = _step_rng(cfg.seed, step)
-        if cfg.resample_quadruples:
-            quads = sample_quadruples(table, cfg.batch_quadruples, rng, floor=cfg.positive_floor)
-        else:
-            # fixed quadruples come from their own stream so a resumed run
-            # can recreate them at any step
-            if fixed_quads is None:
-                fixed_quads = sample_quadruples(
-                    table, cfg.batch_quadruples, np.random.default_rng([cfg.seed, 0]),
-                    floor=cfg.positive_floor,
-                )
-            quads = fixed_quads
+        quads = sample_quadruples(table, cfg.batch_quadruples, rng, floor=cfg.positive_floor)
         batch_ids = build_batch(quads)
         partition = class_partition(batch_ids, table, hp.class_threshold)
 
@@ -262,7 +248,7 @@ def train(
 
         hidden, cache = enc.forward(ids, valid, params, enc_cfg, rows=rows)
         logits, gathered = enc.mlm_logits(hidden, seq, col, params)
-        mlm_value, dlogits = enc.mlm_loss_and_grad(logits, targets, mean=cfg.mlm_mean)
+        mlm_value, dlogits = enc.mlm_loss_and_grad(logits, targets)
         embeddings = hidden[:, 0, :]
         try:
             circle_value, d_emb = loss_gradient(embeddings, partition, table, hp)

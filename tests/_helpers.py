@@ -178,30 +178,36 @@ def sample_batches_reference(table, n, rng, floor, threshold, batches, max_retri
 
 def weight_csv_reference(path):
     """``(ids, matrix)`` of a weight CSV, read one row at a time: every
-    check runs as its row is read, and a file that fails one raises
-    ``ValueError`` with the message ``WeightTable.from_csv`` gives."""
+    check runs as its row is read, and a file that fails one, or a line
+    ``csv.reader`` cannot read, raises ``ValueError`` with the message
+    ``WeightTable.from_csv`` gives."""
     values = {}
     sources = {}  # in order of first appearance
     pending = {}  # first line of each target read before it was a source
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["source_id", "target_id", "value"]:
-            raise ValueError(f"{path}: unexpected weight CSV header {header!r}")
-        for row in reader:
-            try:
-                src, tgt, val = row
-                value = float(val)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad row {row!r}: {exc}") from None
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{path}:{reader.line_num}: weight {val!r} is not in [0, 1]")
-            sources.setdefault(src)
-            if tgt not in sources:
-                pending.setdefault(tgt, reader.line_num)
-            if (src, tgt) in values:
-                raise ValueError(f"{path}:{reader.line_num}: duplicate pair ({src!r}, {tgt!r})")
-            values[(src, tgt)] = value
+        try:
+            header = next(reader, None)
+            if header != ["source_id", "target_id", "value"]:
+                raise ValueError(f"{path}: unexpected weight CSV header {header!r}")
+            for row in reader:
+                try:
+                    src, tgt, val = row
+                    value = float(val)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: bad row {row!r}: {exc}") from None
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"{path}:{reader.line_num}: weight {val!r} is not in [0, 1]")
+                sources.setdefault(src)
+                if tgt not in sources:
+                    pending.setdefault(tgt, reader.line_num)
+                if (src, tgt) in values:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: duplicate pair ({src!r}, {tgt!r})"
+                    )
+                values[(src, tgt)] = value
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not values:
         raise ValueError(f"{path}: holds no weight")
     for tgt, line in pending.items():

@@ -1,11 +1,14 @@
 """CLI subcommands end to end on temporary directories."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from casevec import cli
 from casevec.cli import build_parser, main
 from casevec.encoder import load_arrays, save_arrays
+from casevec.training import TrainConfig
 
 
 def run_cli(*argv):
@@ -289,6 +292,29 @@ class TestPretrainSettings:
         assert capsys.readouterr().err == f"error: {detail}\n"
         assert not run_dir.exists()
 
+    def test_every_train_config_field_is_set_by_pretrain(self, tmp_path, monkeypatch):
+        """Each ``TrainConfig`` field is bound to a ``pretrain`` option or
+        set by the command itself, so no field keeps a value no caller sets."""
+        bound = {opt.field for opt in cli._PRETRAIN_OPTS if opt.config is TrainConfig}
+        explicit = {}
+        build = cli._build
+
+        class Built(Exception):
+            pass
+
+        def spy(config, args, opts, **given):
+            if config is TrainConfig:
+                explicit.update(given)
+                raise Built
+            return build(config, args, opts, **given)
+
+        monkeypatch.setattr(cli, "_build", spy)
+        with pytest.raises(Built):
+            run_cli("pretrain", "--articles", "a.json", "--cases", "c.jsonl",
+                    "--out", str(tmp_path / "run"))
+        assert sorted(explicit) == ["checkpoint_dir"]
+        assert {f.name for f in fields(TrainConfig)} == bound | set(explicit)
+
 
 class TestNonFiniteSettings:
     def test_weights_k1_must_be_finite(self, tmp_path, corpus_dir, capsys):
@@ -460,13 +486,27 @@ class TestMalformedFiles:
         (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
          lambda d: _cases_text(d, lambda ls: ls[:1] + [_with(ls[1], articles=["art-00", "art-00"])]),
          f":2: case '{SECOND_CASE}' cites article 'art-00' twice"),
+        (["sample", "--weights", "BAD"],
+         lambda d: "source_id,target_id,value\n" + "x" * 140_000 + ",x,1.0\n",
+         ":2: field larger than field limit (131072)"),
+        (["sample", "--weights", "BAD"],
+         lambda d: "s" * 140_000 + ",target_id,value\n",
+         ":1: field larger than field limit (131072)"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _cases_text(d, lambda ls: ls[:1] + [_with(ls[1], case_id="cr\rlf")]),
+         ":2: case_id 'cr\\rlf' holds a carriage return without a line feed"),
+        (["encode", *MODEL, "--cases", "BAD"],
+         lambda d: _first_case_with(d, case_id="end\r"),
+         ":1: case_id 'end\\r' holds a carriage return without a line feed"),
     ], ids=["case-not-object", "query-not-object", "query-facts-number", "articles-string",
             "facts-number", "encode-repeated-id", "weights-repeated-id", "weights-header-only",
             "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields",
             "run-repeated-pair", "qrels-repeated-pair", "case-id-empty", "case-facts-empty",
             "query-facts-empty", "ks-not-integer", "params-without-array",
             "params-cut-array", "weights-unknown-article", "pretrain-unknown-article",
-            "weights-no-article", "pretrain-no-article", "weights-repeated-article"])
+            "weights-no-article", "pretrain-no-article", "weights-repeated-article",
+            "sample-field-over-limit",
+            "sample-header-over-limit", "weights-id-lone-cr", "encode-id-lone-cr"])
     def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
                                         message):
         model = tmp_path / "run"
@@ -588,6 +628,22 @@ class TestResume:
             f"error: {ckpt}: resuming would not continue the run exactly; "
             "circle-loss config differs: mix (checkpoint 2.718281828459045e-06, "
             "requested 5.0)\n")
+
+    def test_checkpoint_with_removed_settings_exits_2(self, tmp_path, corpus_dir, ckpt,
+                                                       capsys):
+        """A checkpoint that stores the Adam constants, the loss reduction
+        and the quadruple resampling as settings is refused, writing nothing."""
+        arrays, meta = load_arrays(str(ckpt))
+        meta["train_config"].update(adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8,
+                                    mlm_mean=True, resample_quadruples=True)
+        save_arrays(str(ckpt), arrays, meta)
+        code = pretrain(corpus_dir, tmp_path / "more", "--steps", "3", "--resume", str(ckpt))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: stored TrainConfig does not match this version: unknown fields "
+            "['adam_beta1', 'adam_beta2', 'adam_eps', 'mlm_mean', 'resample_quadruples'], "
+            "missing fields []\n")
+        assert not (tmp_path / "more").exists()
 
     def test_checkpoint_without_circle_loss_settings_exits_2(self, tmp_path, corpus_dir,
                                                              ckpt, capsys):

@@ -182,9 +182,9 @@ class TestTrainLoop:
         original = enc.mlm_loss_and_grad
         calls = {"n": 0}
 
-        def breaking(logits, targets, mean=False):
+        def breaking(logits, targets):
             calls["n"] += 1
-            value, dlogits = original(logits, targets, mean=mean)
+            value, dlogits = original(logits, targets)
             if calls["n"] >= 2:
                 if broken == "loss":
                     value = float("nan")
@@ -208,23 +208,6 @@ class TestTrainLoop:
         _, log = run(3, corpus, table, vocab, enc_cfg, hp=CircleLossParams(mix=mix))
         for r in log.steps:
             assert r.total_loss == r.mlm_loss + mix * r.circle_loss
-
-    def test_fixed_quadruples_reuse_the_same_batch(self, monkeypatch):
-        corpus, table, vocab, enc_cfg = make_setup()
-        seen = []
-        original = training.sample_quadruples
-
-        def spy(*args, **kwargs):
-            quads = original(*args, **kwargs)
-            seen.append(tuple((q.anchor_id, q.positive_id) for q in quads))
-            return quads
-
-        monkeypatch.setattr(training, "sample_quadruples", spy)
-        run(3, corpus, table, vocab, enc_cfg, resample_quadruples=False)
-        assert len(seen) == 1
-        seen.clear()
-        run(3, corpus, table, vocab, enc_cfg, resample_quadruples=True)
-        assert len(seen) == 3
 
     def test_each_step_calls_encoder_forward_and_backward_once_with_rows(self, monkeypatch):
         """``train`` reaches the encoder through ``casevec.encoder.forward``
@@ -277,7 +260,7 @@ class TestTrainLoop:
         def loss_and_grads(p):
             hidden, cache = enc.forward(ids, valid, p, enc_cfg)
             logits, gathered = enc.mlm_logits(hidden, rows, cols, p)
-            mlm_value, dlogits = enc.mlm_loss_and_grad(logits, targets, mean=True)
+            mlm_value, dlogits = enc.mlm_loss_and_grad(logits, targets)
             circle_value, d_emb = loss_gradient(hidden[:, 0, :], partition, table, hp)
             dgat, dw, db = enc.mlm_head_backward(dlogits, gathered, p)
             dh = np.zeros_like(hidden)
