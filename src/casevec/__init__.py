@@ -25,10 +25,8 @@ from .bm25 import (
     Bm25Error,
     Bm25Index,
     SimilarityProfile,
-    bm25_score,
     build_index,
     compute_profiles,
-    similarity_profile,
 )
 from .circle_loss import CircleLossParams, alpha_neg, alpha_pos, loss_gradient
 from .encoder import (

@@ -67,12 +67,6 @@ class ArticleCorpus:
     branches: list[ArticleBranch] = field(default_factory=list)
     by_article: dict[str, list[ArticleBranch]] = field(default_factory=dict)
 
-    def article_ids(self) -> list[str]:
-        return list(self.by_article)
-
-    def branch_count(self, article_id: str) -> int:
-        return len(self.by_article[article_id])
-
     def __len__(self) -> int:
         return len(self.branches)
 

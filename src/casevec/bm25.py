@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .articles import ArticleBranch, ArticleCorpus
+from .articles import ArticleCorpus
 from .text import TokenizerConfig, tokenize
 
 
@@ -47,19 +47,6 @@ class Bm25Index:
         df = self.doc_freq.get(token, 0)
         return math.log((self.size - df + 0.5) / (df + 0.5) + 1.0)
 
-    def score_at(self, pos: int, query: list[str]) -> float:
-        """BM25 score of the document at ``pos`` against a token query."""
-        counts = self.term_counts[pos]
-        dl = self.doc_lens[pos]
-        denom_norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-        score = 0.0
-        for tok in query:
-            tf = counts.get(tok)
-            if not tf:
-                continue
-            score += self.idf(tok) * tf * (self.k1 + 1.0) / (tf + denom_norm)
-        return score
-
 
 @dataclass
 class SimilarityProfile:
@@ -71,10 +58,6 @@ class SimilarityProfile:
 
     case_id: str
     vectors: dict[str, np.ndarray]
-
-    def argmax_branch(self, article_id: str) -> int:
-        """Index of the best-scoring branch; ties go to the lowest index."""
-        return int(np.argmax(self.vectors[article_id]))
 
 
 def build_index(
@@ -107,45 +90,20 @@ def build_index(
     return index
 
 
-def bm25_score(branch: ArticleBranch, query: list[str], index: Bm25Index) -> float:
-    """Score one branch (document) against a token query."""
-    key = (branch.article_id, branch.branch_index)
-    if key not in index.positions:
-        raise Bm25Error(f"branch {key!r} is not part of the indexed corpus")
-    return index.score_at(index.positions[key], query)
-
-
-def similarity_profile(case, corpus: ArticleCorpus, index: Bm25Index) -> SimilarityProfile:
-    """Score a case's holding against every branch of every article.
-
-    The profile is global: it carries one vector per corpus article, with
-    per-article sub-vectors addressable by article id. Raises if the
-    holding tokenizes to nothing, since such a case carries no usable
-    signal.
-    """
-    query = tokenize(case.holding, index.cfg)
-    if not query:
-        raise Bm25Error(f"case {case.case_id!r}: holding tokenizes to an empty query")
-    vectors: dict[str, np.ndarray] = {}
-    for article_id, branches in corpus.by_article.items():
-        v = np.empty(len(branches), dtype=np.float64)
-        for t, branch in enumerate(branches):
-            v[t] = index.score_at(index.positions[(article_id, branch.branch_index)], query)
-        vectors[article_id] = v
-    return SimilarityProfile(case_id=case.case_id, vectors=vectors)
-
-
 def compute_profiles(cases, corpus: ArticleCorpus, index: Bm25Index) -> dict[str, SimilarityProfile]:
     """Similarity profiles for a list of cases, keyed by case id.
 
-    Each profile equals ``similarity_profile``'s bit for bit, but the
-    terms ``score_at`` adds come from one token × branch table, built once
-    per call: ``table[row, pos]`` is ``idf(tok) * tf * (k1 + 1) / (tf +
-    denom_norm)`` in ``score_at``'s operation order, and a last row of
-    zeros stands for tokens no branch holds. A case's scores are the rows
-    of its query tokens, accumulated in query order as ``score_at`` adds
-    them; ``np.add.accumulate`` is sequential by definition, where
-    ``np.add.reduce`` sums a one-column table pairwise.
+    The score of branch ``pos`` against a case's tokenized holding is the
+    sum, over query tokens in query order and with multiplicity, of
+    ``idf(tok) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))``,
+    where ``tf`` is the token's count in the branch and ``dl`` its length.
+    One token × branch table of these terms is built per call, with a
+    last row of zeros for tokens no branch holds; a case's scores are the
+    rows of its query tokens summed one after another in query order.
+    ``np.add.accumulate`` is sequential by definition, where
+    ``np.add.reduce`` sums a one-column table pairwise. Raises if a
+    holding tokenizes to nothing, since such a case carries no usable
+    signal, or if ``corpus`` holds a branch ``index`` was not built from.
     """
     row_of = {tok: r for r, tok in enumerate(index.doc_freq)}
     absent = len(row_of)
@@ -161,11 +119,14 @@ def compute_profiles(cases, corpus: ArticleCorpus, index: Bm25Index) -> dict[str
     table = np.zeros((absent + 1, index.size), dtype=np.float64)
     table[rows, cols] = idf * tf * (k1 + 1.0) / (tf + denom_norm[cols])
 
-    article_cols = {
-        article_id: np.array([index.positions[(article_id, br.branch_index)] for br in branches],
-                             dtype=np.intp)
-        for article_id, branches in corpus.by_article.items()
-    }
+    try:
+        article_cols = {
+            article_id: np.array([index.positions[(article_id, br.branch_index)]
+                                  for br in branches], dtype=np.intp)
+            for article_id, branches in corpus.by_article.items()
+        }
+    except KeyError as exc:
+        raise Bm25Error(f"branch {exc.args[0]!r} is not part of the indexed corpus") from None
     profiles = {}
     for case in cases:
         query = tokenize(case.holding, index.cfg)

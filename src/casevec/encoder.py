@@ -64,8 +64,24 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
+        """One token a line, blank lines skipped. A file that does not
+        start with the special tokens, or repeats a token, fails with
+        ``<path>:<line>:``."""
         with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+            lines = [(n, tok) for n, line in enumerate(fh, start=1) if (tok := line.rstrip("\n"))]
+        for (n, tok), special in zip(lines, SPECIAL_TOKENS):
+            if tok != special:
+                raise EncoderError(f"{path}:{n}: expected special token {special!r}, got {tok!r}")
+        if len(lines) < len(SPECIAL_TOKENS):
+            end = lines[-1][0] + 1 if lines else 1
+            raise EncoderError(f"{path}:{end}: expected special token "
+                               f"{SPECIAL_TOKENS[len(lines)]!r}, got the end of the file")
+        first_line: dict[str, int] = {}
+        for n, tok in lines:
+            if tok in first_line:
+                raise EncoderError(f"{path}:{n}: token {tok!r} repeats line {first_line[tok]}")
+            first_line[tok] = n
+        return cls([tok for _, tok in lines])
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,9 @@ class QrelSet:
         grades = {}
         first_line: dict[tuple[str, str], int] = {}
         with open(path, encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
+            reader = csv.reader(fh, delimiter="\t")
+            for row in reader:
+                lineno = reader.line_num
                 if not row:
                     continue
                 if len(row) != 3:
@@ -293,8 +295,9 @@ def export_embeddings(
 
 
 def load_queries(path: str) -> list[QueryCase]:
-    """JSON lines with string fields query_id and facts."""
+    """JSON lines with string fields query_id, unique, and facts."""
     queries = []
+    first_line: dict[str, int] = {}
     for lineno, obj in read_json_objects(path, EvaluationError):
         for name in ("query_id", "facts"):
             if name not in obj:
@@ -306,6 +309,10 @@ def load_queries(path: str) -> list[QueryCase]:
             query.validate()
         except EvaluationError as exc:
             raise EvaluationError(f"{path}:{lineno}: {exc}") from None
+        if query.query_id in first_line:
+            raise EvaluationError(f"{path}:{lineno}: query_id {query.query_id!r} repeats line "
+                                  f"{first_line[query.query_id]}")
+        first_line[query.query_id] = lineno
         queries.append(query)
     if not queries:
         raise EvaluationError(f"{path}: holds no query")
@@ -331,7 +338,9 @@ def load_run(path: str) -> list[RankedList]:
     by_query: dict[str, list[tuple[int, str, float]]] = {}
     first_line: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
+        reader = csv.reader(fh, delimiter="\t")
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != 4:

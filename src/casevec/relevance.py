@@ -428,16 +428,16 @@ def load_cases(path: str) -> list[CaseDocument]:
 
 
 def load_citing_cases(
-    path: str, articles_path: str, article_ids: Iterable[str]
+    path: str, articles_path: str, known_articles: Iterable[str]
 ) -> list[CaseDocument]:
     """:func:`load_cases` for a weight table: every case must cite at least
-    one article, and only articles in ``article_ids``, the ones
+    one article, and only articles in ``known_articles``, the ones
     ``articles_path`` defines."""
     cases = []
     for where, case in _read_cases(path):
         if not case.articles:
             raise RelevanceError(f"{where}: case {case.case_id!r} cites no article")
-        unknown = sorted(case.articles.difference(article_ids))
+        unknown = sorted(case.articles.difference(known_articles))
         if unknown:
             raise RelevanceError(
                 f"{where}: case {case.case_id!r} cites article {unknown[0]!r},"

@@ -189,8 +189,13 @@ def load_labels(path: str) -> dict[str, str]:
         header = next(reader, None)
         if header != ["case_id", "label"]:
             raise SynthError(f"{path}: unexpected labels header {header!r}")
+        first_line: dict[str, int] = {}
         for row in reader:
             if len(row) != 2:
                 raise SynthError(f"{path}:{reader.line_num}: expected 2 columns, got {len(row)}")
+            if row[0] in first_line:
+                raise SynthError(
+                    f"{path}:{reader.line_num}: case_id {row[0]!r} repeats line {first_line[row[0]]}")
+            first_line[row[0]] = reader.line_num
             labels[row[0]] = row[1]
     return labels

@@ -2,13 +2,18 @@
 
 Everything here is written directly from the mathematical definitions,
 with plain loops and scalar arithmetic, deliberately sharing no code with
-the package paths it checks.
+the package paths it checks. The one exception, ``bm25_scores``, is not an
+oracle: it calls the package's BM25 in the shape ``bm25_reference`` returns.
 """
 
 import csv
 import math
 
 import numpy as np
+
+from casevec.bm25 import compute_profiles
+from casevec.relevance import CaseDocument
+from casevec.text import tokenize
 
 
 def bm25_reference(docs, query, k1=1.5, b=0.75):
@@ -36,6 +41,16 @@ def bm25_reference(docs, query, k1=1.5, b=0.75):
             s += idf(tok) * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * len(d) / avgdl))
         scores.append(s)
     return scores
+
+
+def bm25_scores(query, corpus, index):
+    """BM25 scores of every branch against a token query, article by
+    article in ``corpus.by_article`` order, from a one-case
+    ``compute_profiles`` call whose holding tokenizes back to ``query``."""
+    holding = " ".join(query)
+    assert tokenize(holding, index.cfg) == list(query)
+    case = CaseDocument("query", facts="f", holding=holding)
+    return np.concatenate(list(compute_profiles([case], corpus, index)["query"].vectors.values()))
 
 
 def cosine_reference(u, v):

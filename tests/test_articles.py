@@ -97,11 +97,11 @@ class TestBuildCorpus:
     def test_empty(self):
         corpus = build_corpus([])
         assert len(corpus) == 0
-        assert corpus.article_ids() == []
+        assert corpus.by_article == {}
 
     def test_single_spec_counts(self):
         corpus = build_corpus([spec_of([[["a"], ["b", "c", "d"]]])])
-        assert corpus.branch_count("a1") == 3
+        assert len(corpus.by_article["a1"]) == 3
         assert len(corpus) == 3
 
     def test_two_specs_global_enumeration(self):
@@ -114,8 +114,7 @@ class TestBuildCorpus:
         assert len(expand_branches(s2)) == 7
         corpus = build_corpus([s1, s2])
         assert len(corpus) == 9
-        assert corpus.branch_count("first") == 2
-        assert corpus.branch_count("second") == 7
+        assert {a: len(bs) for a, bs in corpus.by_article.items()} == {"first": 2, "second": 7}
         assert [b.article_id for b in corpus.branches] == ["first"] * 2 + ["second"] * 7
 
     def test_duplicate_article_id_rejected(self):

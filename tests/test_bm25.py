@@ -11,18 +11,11 @@ import numpy as np
 import pytest
 
 from casevec.articles import ArticleBranch, ArticleCorpus, ArticleSpec, build_corpus
-from casevec.bm25 import (
-    Bm25Error,
-    Bm25Index,
-    bm25_score,
-    build_index,
-    compute_profiles,
-    similarity_profile,
-)
+from casevec.bm25 import Bm25Error, build_index, compute_profiles
 from casevec.relevance import CaseDocument
 from casevec.text import TokenizerConfig
 
-from _helpers import bm25_reference
+from _helpers import bm25_reference, bm25_scores
 
 
 def corpus_from_sequences(sequences, article_id="art"):
@@ -82,7 +75,7 @@ class TestScores:
     def test_disjoint_query_scores_zero(self):
         corpus = corpus_from_sequences(TOY_DOCS)
         index = build_index(corpus)
-        assert bm25_score(corpus.branches[0], ["z", "q"], index) == 0.0
+        assert not bm25_scores(["z", "q"], corpus, index).any()
 
     def test_single_branch_corpus_idf_stays_positive(self):
         """With the plus-one idf, df = N = 1 gives ln(4/3), not zero, so an
@@ -90,28 +83,27 @@ class TestScores:
         corpus = corpus_from_sequences([["a", "b"]])
         index = build_index(corpus)
         assert index.idf("a") == pytest.approx(math.log(4.0 / 3.0))
-        score = bm25_score(corpus.branches[0], ["a"], index)
+        (score,) = bm25_scores(["a"], corpus, index)
         assert score == pytest.approx(bm25_reference([["a", "b"]], ["a"])[0])
         assert score > 0.0
 
     def test_toy_corpus_frozen_values(self):
         corpus = corpus_from_sequences(TOY_DOCS)
         index = build_index(corpus, k1=1.5, b=0.75)
-        for branch, expected in zip(corpus.branches, TOY_EXPECTED):
-            assert bm25_score(branch, TOY_QUERY, index) == pytest.approx(expected, abs=1e-9)
+        assert list(bm25_scores(TOY_QUERY, corpus, index)) == pytest.approx(TOY_EXPECTED, abs=1e-9)
 
     def test_toy_corpus_matches_reference(self):
         corpus = corpus_from_sequences(TOY_DOCS)
         index = build_index(corpus)
-        got = [bm25_score(br, TOY_QUERY, index) for br in corpus.branches]
-        assert got == pytest.approx(bm25_reference(TOY_DOCS, TOY_QUERY), abs=1e-12)
+        got = bm25_scores(TOY_QUERY, corpus, index)
+        assert got.tolist() == bm25_reference(TOY_DOCS, TOY_QUERY)
 
     def test_duplicate_query_token_counts_twice(self):
         corpus = corpus_from_sequences(TOY_DOCS)
         index = build_index(corpus)
-        single = bm25_score(corpus.branches[0], ["a"], index)
-        double = bm25_score(corpus.branches[0], ["a", "a"], index)
-        assert double == pytest.approx(2 * single)
+        single = bm25_scores(["a"], corpus, index)
+        double = bm25_scores(["a", "a"], corpus, index)
+        assert list(double) == pytest.approx(list(2 * single))
 
     def test_absent_token_never_changes_score(self):
         rng = np.random.default_rng(11)
@@ -124,15 +116,16 @@ class TestScores:
             index = build_index(corpus)
             query = [f"t{rng.integers(0, 8)}" for _ in range(4)]
             doc_pos = int(rng.integers(0, len(docs)))
-            base = bm25_score(corpus.branches[doc_pos], query, index)
-            assert bm25_score(corpus.branches[doc_pos], query + ["zz"], index) == base
+            base = bm25_scores(query, corpus, index)[doc_pos]
+            assert bm25_scores(query + ["zz"], corpus, index)[doc_pos] == base
 
     def test_unindexed_branch_rejected(self):
-        corpus = corpus_from_sequences(TOY_DOCS)
-        index = build_index(corpus)
-        stranger = ArticleBranch("other", 0, ("a",))
-        with pytest.raises(Bm25Error, match="not part"):
-            bm25_score(stranger, ["a"], index)
+        """Another corpus's index names the first branch it lacks."""
+        index = build_index(corpus_from_sequences(TOY_DOCS))
+        stranger = corpus_from_sequences([["a"], ["b"]], article_id="b")
+        case = CaseDocument("c1", facts="f", holding="a")
+        with pytest.raises(Bm25Error, match=r"^branch \('b', 0\) is not part of the indexed corpus$"):
+            compute_profiles([case], stranger, index)
 
 
 class TestRandomOracleEquivalence:
@@ -152,9 +145,12 @@ class TestRandomOracleEquivalence:
             index = build_index(corpus, k1=k1, b=b)
             query = [f"t{rng.integers(0, 25)}" for _ in range(int(rng.integers(1, 12)))]
             expected = bm25_reference(docs, query, k1=k1, b=b)
-            for branch, exp in zip(corpus.branches, expected):
-                got = bm25_score(branch, query, index)
-                assert got == pytest.approx(exp, rel=1e-9, abs=1e-12)
+            got = bm25_scores(query, corpus, index)
+            assert list(got) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def profile_of(case, corpus, index):
+    return compute_profiles([case], corpus, index)[case.case_id]
 
 
 class TestSimilarityProfile:
@@ -169,23 +165,23 @@ class TestSimilarityProfile:
         corpus = self.make_two_article_corpus()
         index = build_index(corpus)
         case = CaseDocument("c1", facts="f", holding="alpha gamma", articles=frozenset({"art-a"}))
-        profile = similarity_profile(case, corpus, index)
+        profile = profile_of(case, corpus, index)
         assert set(profile.vectors) == {"art-a", "art-b"}
-        assert len(profile.vectors["art-a"]) == corpus.branch_count("art-a") == 2
-        assert len(profile.vectors["art-b"]) == corpus.branch_count("art-b") == 2
+        assert len(profile.vectors["art-a"]) == len(corpus.by_article["art-a"]) == 2
+        assert len(profile.vectors["art-b"]) == len(corpus.by_article["art-b"]) == 2
 
     def test_disjoint_holding_gives_zero_profile(self):
         corpus = self.make_two_article_corpus()
         index = build_index(corpus)
         case = CaseDocument("c1", facts="f", holding="nothing shared here")
-        profile = similarity_profile(case, corpus, index)
+        profile = profile_of(case, corpus, index)
         assert all(not v.any() for v in profile.vectors.values())
 
     def test_holding_equal_to_branch_maximizes_that_component(self):
         corpus = self.make_two_article_corpus()
         index = build_index(corpus)
         case = CaseDocument("c1", facts="f", holding="alpha beta")
-        profile = similarity_profile(case, corpus, index)
+        profile = profile_of(case, corpus, index)
         v = profile.vectors["art-a"]
         assert int(np.argmax(v)) == 0
         assert v[0] > v[1]
@@ -200,7 +196,7 @@ class TestSimilarityProfile:
         index = build_index(corpus)
         case = CaseDocument("c1", facts="f", holding="  . , ")
         with pytest.raises(Bm25Error, match="empty query"):
-            similarity_profile(case, corpus, index)
+            profile_of(case, corpus, index)
 
     def test_profiles_deterministic(self):
         corpus = self.make_two_article_corpus()
@@ -222,7 +218,7 @@ class TestSimilarityProfile:
         assert corpus.branches[0].keyword_sequence == ("a", "b", "c", "d")
         index = build_index(corpus, cfg)
         case = CaseDocument("c1", facts="f", holding="ax")
-        profile = similarity_profile(case, corpus, index)
+        profile = profile_of(case, corpus, index)
         assert profile.vectors["a"][0] > 0.0
 
 
@@ -241,7 +237,7 @@ def random_corpus(rng):
 
 
 class TestComputeProfiles:
-    def test_bit_equal_to_similarity_profile_on_random_corpora(self):
+    def test_bit_equal_to_reference_on_random_corpora(self):
         """Holdings of 1-40 tokens repeat tokens and hold tokens t12-t15,
         which no branch holds."""
         rng = np.random.default_rng(2024)
@@ -249,8 +245,8 @@ class TestComputeProfiles:
         for _ in range(150):
             corpus = random_corpus(rng)
             single_branch += len(corpus) == 1
-            index = build_index(corpus, k1=float(rng.uniform(0.5, 2.5)),
-                                b=float(rng.uniform(0.0, 1.0)))
+            k1, b = float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.0, 1.0))
+            index = build_index(corpus, k1=k1, b=b)
             cases = [
                 CaseDocument(f"c{i}", facts="f", holding=" ".join(
                     f"t{k}" for k in rng.integers(0, 16, rng.integers(1, 41))))
@@ -258,30 +254,17 @@ class TestComputeProfiles:
             ]
             profiles = compute_profiles(cases, corpus, index)
             assert list(profiles) == [case.case_id for case in cases]
+            docs = [list(br.keyword_sequence) for br in corpus.branches]
             for case in cases:
-                expected = similarity_profile(case, corpus, index).vectors
+                expected = bm25_reference(docs, case.holding.split(), k1=k1, b=b)
                 got = profiles[case.case_id].vectors
-                assert list(got) == list(expected)
-                for article_id, vector in expected.items():
-                    assert got[article_id].dtype == np.float64
-                    assert got[article_id].tobytes() == vector.tobytes()
+                assert list(got) == list(corpus.by_article)
+                for article_id, vector in got.items():
+                    assert vector.dtype == np.float64
+                    assert len(vector) == len(corpus.by_article[article_id])
+                assert np.concatenate(list(got.values())).tobytes() == (
+                    np.array(expected, dtype=np.float64).tobytes())
         assert single_branch >= 5
-
-    def test_never_scores_one_branch_at_a_time(self, monkeypatch):
-        corpus = corpus_from_sequences(TOY_DOCS)
-        index = build_index(corpus)
-        cases = [CaseDocument("c1", facts="f", holding="a c d c"),
-                 CaseDocument("c2", facts="f", holding="b zzz")]
-        expected = {case.case_id: similarity_profile(case, corpus, index).vectors["art"]
-                    for case in cases}
-
-        def refuse(*args):
-            raise AssertionError("compute_profiles called score_at")
-
-        monkeypatch.setattr(Bm25Index, "score_at", refuse)
-        profiles = compute_profiles(cases, corpus, index)
-        for cid, vector in expected.items():
-            assert profiles[cid].vectors["art"].tobytes() == vector.tobytes()
 
     def test_empty_holding_rejected(self):
         corpus = corpus_from_sequences(TOY_DOCS)

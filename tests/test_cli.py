@@ -498,6 +498,15 @@ class TestMalformedFiles:
         (["encode", *MODEL, "--cases", "BAD"],
          lambda d: _first_case_with(d, case_id="end\r"),
          ":1: case_id 'end\\r' holds a carriage return without a line feed"),
+        (["rank", *MODEL, "--queries", "BAD", "--cases", "CASES"],
+         lambda d: '{"query_id": "q", "facts": "a"}\n{"query_id": "r", "facts": "b"}\n'
+                   '{"query_id": "q", "facts": "c"}\n', ":3: query_id 'q' repeats line 1"),
+        (["encode", "--checkpoint", "PARAMS", "--vocab", "BAD", "--cases", "CASES"],
+         lambda d: (d.parent / "run" / "vocab.txt").read_text() + "[MASK]\n",
+         ":51: token '[MASK]' repeats line 5"),
+        (["rank", "--checkpoint", "PARAMS", "--vocab", "BAD", "--queries", "QUERIES",
+          "--cases", "CASES"],
+         lambda d: "[PAD]\n[UNK]\n[SEP]\n", ":3: expected special token '[CLS]', got '[SEP]'"),
     ], ids=["case-not-object", "query-not-object", "query-facts-number", "articles-string",
             "facts-number", "encode-repeated-id", "weights-repeated-id", "weights-header-only",
             "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields",
@@ -506,11 +515,12 @@ class TestMalformedFiles:
             "params-cut-array", "weights-unknown-article", "pretrain-unknown-article",
             "weights-no-article", "pretrain-no-article", "weights-repeated-article",
             "sample-field-over-limit",
-            "sample-header-over-limit", "weights-id-lone-cr", "encode-id-lone-cr"])
+            "sample-header-over-limit", "weights-id-lone-cr", "encode-id-lone-cr",
+            "query-repeated-id", "encode-vocab-repeated-token", "rank-vocab-missing-special"])
     def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
                                         message):
         model = tmp_path / "run"
-        if "VOCAB" in argv:
+        if {"PARAMS", "VOCAB"} & set(argv):
             assert pretrain(corpus_dir, model, "--steps", "1") == 0
             capsys.readouterr()
         bad = tmp_path / "bad.txt"
@@ -522,7 +532,8 @@ class TestMalformedFiles:
         run = tmp_path / "run.tsv"
         run.write_text("q\t1\tc\t0.5\n")
         paths = {"ARTICLES": corpus_dir / "articles.json", "CASES": corpus_dir / "cases.jsonl",
-                 "QRELS": corpus_dir / "qrels.tsv", "RUN": run, "BAD": bad,
+                 "QRELS": corpus_dir / "qrels.tsv", "QUERIES": corpus_dir / "queries.jsonl",
+                 "RUN": run, "BAD": bad,
                  "PARAMS": model / "encoder.params", "VOCAB": model / "vocab.txt"}
         out = tmp_path / "out"
         named = bad if "BAD" in argv else ""

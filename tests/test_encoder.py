@@ -89,6 +89,19 @@ class TestVocab:
         with pytest.raises(enc.EncoderError, match="must start"):
             enc.Vocab(["a", "b"])
 
+    @pytest.mark.parametrize("text, message", [
+        ("\n".join(enc.SPECIAL_TOKENS) + "\nx\n\ny\nx\n", ":9: token 'x' repeats line 6"),
+        ("[PAD]\n\n[UNK]\n[SEP]\n", ":4: expected special token '[CLS]', got '[SEP]'"),
+        ("[PAD]\n[UNK]\n\n", ":3: expected special token '[CLS]', got the end of the file"),
+        ("", ":1: expected special token '[PAD]', got the end of the file"),
+    ], ids=["repeated-token", "wrong-special", "missing-special", "empty"])
+    def test_load_errors_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(enc.EncoderError) as excinfo:
+            enc.Vocab.load(str(path))
+        assert str(excinfo.value) == f"{path}{message}"
+
 
 class TestConfig:
     def test_heads_must_divide_hidden(self):

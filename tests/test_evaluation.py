@@ -493,6 +493,31 @@ class TestFileFormats:
         qr.to_tsv(str(path))
         assert QrelSet.from_tsv(str(path)).grades == qr.grades
 
+    @pytest.mark.parametrize("read, text, message", [
+        (QrelSet.from_tsv, '"q\nx"\tc\t1\nq\td\t2\nq\te\tx\n', ":4: grade 'x' is not an integer"),
+        (QrelSet.from_tsv, 'q\tc\t1\n"q\nx"\td\t2\nq\tc\t0\n',
+         ":4: repeated pair ('q', 'c'), first at line 1"),
+        (load_run, '"q\nx"\t1\tc\t0.5\nq\t1\td\t0.4\nq\t2\te\t0.3\t9\n',
+         ":4: expected 4 columns, got 5"),
+        (load_run, '"q\nx"\t1\tc\t0.5\nq\t1\td\t0.4\n"q\nx"\t2\tc\t0.3\n',
+         ":5: repeated pair ('q\\nx', 'c'), first at line 2"),
+    ], ids=["qrels-grade", "qrels-repeat", "run-columns", "run-repeat"])
+    def test_errors_cite_the_line_a_row_ends_on(self, tmp_path, read, text, message):
+        """A quoted id may span lines; an error cites the file line its
+        row ends on, not the row's count."""
+        path = tmp_path / "file.tsv"
+        path.write_text(text)
+        with pytest.raises(EvaluationError) as excinfo:
+            read(str(path))
+        assert str(excinfo.value) == f"{path}{message}"
+
+    def test_repeated_query_id_rejected(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        save_queries([QueryCase("q1", "a"), QueryCase("q2", "b"), QueryCase("q1", "c")], str(path))
+        with pytest.raises(EvaluationError) as excinfo:
+            load_queries(str(path))
+        assert str(excinfo.value) == f"{path}:3: query_id 'q1' repeats line 1"
+
     def test_negative_grade_rejected(self):
         with pytest.raises(EvaluationError, match="negative"):
             QrelSet({("q", "c"): -1})

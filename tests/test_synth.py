@@ -1,5 +1,6 @@
 """Synthetic corpus: counts, determinism, and ground-truth recovery."""
 
+import numpy as np
 import pytest
 
 from casevec.articles import build_corpus
@@ -31,7 +32,7 @@ class TestGenerate:
         corpus = generate(SynthSpec(num_articles=3, branches_per_article=4, vocab_size=80,
                                     cases_per_branch=1))
         articles = build_corpus(corpus.article_specs, TOK)
-        assert all(articles.branch_count(a) == 4 for a in articles.article_ids())
+        assert [len(bs) for bs in articles.by_article.values()] == [4, 4, 4]
 
     def test_same_seed_same_corpus_bytes(self, tmp_path):
         spec = SynthSpec(seed=13)
@@ -81,7 +82,7 @@ class TestNoiselessGroundTruth:
     def test_profile_argmax_recovers_true_branch(self):
         for case in self.corpus.cases:
             article_id, branch = self.corpus.case_branches[case.case_id]
-            assert self.profiles[case.case_id].argmax_branch(article_id) == branch
+            assert np.argmax(self.profiles[case.case_id].vectors[article_id]) == branch
 
     def test_weight_one_within_branch_zero_across_articles(self):
         for ci in self.corpus.cases:
@@ -115,3 +116,10 @@ class TestLabelsFile:
             assert labels[case.case_id] == f"{article_id}:b{b}"
         for query in corpus.queries:
             assert query.query_id in labels
+
+    def test_repeated_case_id_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("case_id,label\nc1,a\nc2,a\nc1,b\n")
+        with pytest.raises(SynthError) as excinfo:
+            load_labels(str(path))
+        assert str(excinfo.value) == f"{path}:4: case_id 'c1' repeats line 2"
