@@ -11,11 +11,11 @@ timestamps, so identical inputs and seed give identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .evaluation import (
     save_metrics,
     save_run,
 )
-from .files import open_output
+from .files import open_output, write_json_lines, write_rows
 from .relevance import WeightTable, load_cases, load_citing_cases, pairwise_weights
 from .sampling import build_batch, class_partition, sample_quadruples
 from .synth import SynthSpec, generate, load_labels, write_corpus
@@ -253,13 +253,7 @@ def _cmd_gen_corpus(args) -> int:
 def _cmd_expand_articles(args) -> int:
     opts = _effective(args)
     corpus = build_corpus(load_article_specs(args.articles), _build(TokenizerConfig, args, opts))
-    with open_output(args.out, encoding="utf-8") as fh:
-        for branch in corpus.branches:
-            fh.write(json.dumps({
-                "article_id": branch.article_id,
-                "branch_index": branch.branch_index,
-                "keyword_sequence": list(branch.keyword_sequence),
-            }, sort_keys=True) + "\n")
+    write_json_lines(args.out, map(asdict, corpus.branches))
     _echo_config("expand-articles", opts, args.out)
     print(f"expanded {len(corpus.by_article)} articles into {len(corpus)} branches")
     return 0
@@ -284,26 +278,27 @@ def _cmd_weights(args) -> int:
 
 def _cmd_sample(args) -> int:
     opts = _effective(args)
+    if opts["num_batches"] < 1:
+        raise CliError(f"--num-batches must be at least 1, got {opts['num_batches']}")
     table = WeightTable.from_csv(args.weights)
-    lines = []
+    batches = []
     for b in range(opts["num_batches"]):
         rng = np.random.default_rng([opts["seed"], b + 1])
         quads = sample_quadruples(table, opts["batch_quadruples"], rng,
                                   floor=opts["positive_floor"])
         batch_ids = build_batch(quads)
         partition = class_partition(batch_ids, table, opts["class_threshold"])
-        lines.append(json.dumps({
+        batches.append({
             "batch_index": b,
             "case_ids": batch_ids,
             "class_labels": partition.labels,
             "anchor_ids": [q.anchor_id for q in quads],
             "positive_ids": [q.positive_id for q in quads],
             "quadruple_weights": [q.weight for q in quads],
-        }, sort_keys=True) + "\n")
+        })
     # every batch is drawn before --out is opened, so a failed draw leaves
     # an existing manifest as it was
-    with open_output(args.out, encoding="utf-8") as fh:
-        fh.writelines(lines)
+    write_json_lines(args.out, batches)
     _echo_config("sample", opts, args.out)
     print(f"wrote {opts['num_batches']} batch manifests to {args.out}")
     return 0
@@ -362,11 +357,9 @@ def _cmd_encode(args) -> int:
     cases = load_cases(args.cases)
     embeddings = embed_texts([candidate_text(c) for c in cases], params, enc_cfg, vocab,
                              _build(TokenizerConfig, args, opts))
-    with open_output(args.out, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["case_id"] + [f"dim{i}" for i in range(enc_cfg.hidden_size)])
-        for case, row in zip(cases, embeddings):
-            writer.writerow([case.case_id] + [repr(float(x)) for x in row])
+    write_rows(args.out, itertools.chain(
+        [["case_id"] + [f"dim{i}" for i in range(enc_cfg.hidden_size)]],
+        ([case.case_id] + [repr(float(x)) for x in row] for case, row in zip(cases, embeddings))))
     _echo_config("encode", opts, args.out)
     print(f"encoded {len(cases)} cases into {args.out}")
     return 0

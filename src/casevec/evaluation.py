@@ -11,17 +11,17 @@ normalized by the ideal ordering of the candidate pool.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import encoder as enc
 from .circle_loss import unit_rows
-from .files import open_output
-from .relevance import CaseDocument, read_json_objects
+from .files import open_output, read_json_objects, read_rows, write_json_lines, write_rows
+from .relevance import CaseDocument
 from .text import TokenizerConfig, tokenize
 
 
@@ -78,33 +78,28 @@ class QrelSet:
         return query_id in self._queries
 
     def to_tsv(self, path: str) -> None:
-        with open_output(path, encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-            for (qid, cid), grade in sorted(self.grades.items()):
-                writer.writerow([qid, cid, grade])
+        write_rows(path, ((qid, cid, grade) for (qid, cid), grade in sorted(self.grades.items())),
+                   delimiter="\t")
 
     @classmethod
     def from_tsv(cls, path: str) -> "QrelSet":
         grades = {}
         first_line: dict[tuple[str, str], int] = {}
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh, delimiter="\t")
-            for row in reader:
-                lineno = reader.line_num
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise EvaluationError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-                try:
-                    grade = int(row[2])
-                except ValueError:
-                    raise EvaluationError(
-                        f"{path}:{lineno}: grade {row[2]!r} is not an integer") from None
-                pair = (row[0], row[1])
-                if grade < 0:
-                    raise EvaluationError(f"{path}:{lineno}: negative grade {grade} for {pair}")
-                _claim_pair(pair, first_line, path, lineno)
-                grades[pair] = grade
+        for lineno, row in read_rows(path, EvaluationError, delimiter="\t"):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise EvaluationError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            try:
+                grade = int(row[2])
+            except ValueError:
+                raise EvaluationError(
+                    f"{path}:{lineno}: grade {row[2]!r} is not an integer") from None
+            pair = (row[0], row[1])
+            if grade < 0:
+                raise EvaluationError(f"{path}:{lineno}: negative grade {grade} for {pair}")
+            _claim_pair(pair, first_line, path, lineno)
+            grades[pair] = grade
         return cls(grades)
 
 
@@ -114,11 +109,6 @@ class RankedList:
 
     query_id: str
     ranking: list[tuple[str, float]]
-
-    def validate(self) -> None:
-        scores = [s for _, s in self.ranking]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise EvaluationError(f"query {self.query_id!r}: scores must be non-increasing")
 
 
 def candidate_text(case: CaseDocument) -> str:
@@ -277,17 +267,14 @@ def export_embeddings(
             return labels[case.case_id]
         return "|".join(sorted(case.articles))
 
-    with open_output(path, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if projection == "pca2d":
-            coords, _, _ = pca_2d(embeddings)
-            writer.writerow(["case_id", "label", "x", "y"])
-            for case, row in zip(cases, coords):
-                writer.writerow([case.case_id, label_of(case), repr(float(row[0])), repr(float(row[1]))])
-        else:
-            writer.writerow(["case_id", "label"] + [f"dim{i}" for i in range(enc_cfg.hidden_size)])
-            for case, row in zip(cases, embeddings):
-                writer.writerow([case.case_id, label_of(case)] + [repr(float(x)) for x in row])
+    if projection == "pca2d":
+        header, values = ["x", "y"], pca_2d(embeddings)[0]
+    else:
+        header, values = [f"dim{i}" for i in range(enc_cfg.hidden_size)], embeddings
+    write_rows(path, itertools.chain(
+        [["case_id", "label"] + header],
+        ([case.case_id, label_of(case)] + [repr(float(x)) for x in row]
+         for case, row in zip(cases, values))))
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +307,32 @@ def load_queries(path: str) -> list[QueryCase]:
 
 
 def save_queries(queries: list[QueryCase], path: str) -> None:
-    with open_output(path, encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(json.dumps({"facts": q.facts, "query_id": q.query_id}, sort_keys=True) + "\n")
+    write_json_lines(path, map(asdict, queries))
 
 
 def save_run(runs: list[RankedList], path: str) -> None:
     """TSV rows (query_id, rank, case_id, score), rank starting at 1."""
-    with open_output(path, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        for run in runs:
-            for position, (cid, score) in enumerate(run.ranking, start=1):
-                writer.writerow([run.query_id, position, cid, repr(score)])
+    write_rows(path, ((run.query_id, position, cid, repr(score))
+                      for run in runs
+                      for position, (cid, score) in enumerate(run.ranking, start=1)),
+               delimiter="\t")
 
 
 def load_run(path: str) -> list[RankedList]:
     by_query: dict[str, list[tuple[int, str, float]]] = {}
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != 4:
-                raise EvaluationError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            qid, position, cid, score = row
-            try:
-                entry = (int(position), cid, float(score))
-            except ValueError as exc:
-                raise EvaluationError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
-            _claim_pair((qid, cid), first_line, path, lineno)
-            by_query.setdefault(qid, []).append(entry)
+    for lineno, row in read_rows(path, EvaluationError, delimiter="\t"):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise EvaluationError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        qid, position, cid, score = row
+        try:
+            entry = (int(position), cid, float(score))
+        except ValueError as exc:
+            raise EvaluationError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
+        _claim_pair((qid, cid), first_line, path, lineno)
+        by_query.setdefault(qid, []).append(entry)
     return [RankedList(query_id=qid, ranking=[(cid, score) for _, cid, score in sorted(entries)])
             for qid, entries in by_query.items()]
 

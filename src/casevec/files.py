@@ -1,4 +1,12 @@
-"""Writing output files.
+"""Reading and writing the package's line-oriented text files.
+
+CSV, TSV and JSON-lines files are read and written here, except the weight
+table, whose CSV code in ``relevance`` is tuned for speed. They are UTF-8
+with ``\\n`` line ends; tables are quoted by ``csv.writer``'s minimal rules,
+and JSON lines hold one sorted-key object per line, non-ASCII text as
+UTF-8, not ``\\uXXXX`` escapes. A line a reader cannot parse raises the
+caller's error class with ``<path>:<line>: <message>``, the line being the
+one the row ends on.
 
 Every file the package writes is opened with ``open_output``. It rewrites
 an existing file in place and cuts it to the new length when the writer is
@@ -11,6 +19,8 @@ its inode and its permissions are the same either way.
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 from contextlib import contextmanager
 
@@ -28,3 +38,46 @@ def open_output(path: str, mode: str = "w", **kwargs):
             yield fh
         finally:
             fh.truncate()
+
+
+def read_rows(path: str, error: type[Exception], delimiter: str = ","):
+    """Yield ``(line, row)`` for every row of a CSV file, or a TSV file with
+    ``delimiter="\\t"``, empty rows included; ``line`` is the line the row
+    ends on. A row ``csv.reader`` cannot read raises
+    ``error("<path>:<line>: <message>")``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def write_rows(path: str, rows, delimiter: str = ",") -> None:
+    """Write ``rows`` in the format :func:`read_rows` reads."""
+    with open_output(path, encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(rows)
+
+
+def read_json_objects(path: str, error: type[Exception]):
+    """Yield ``(lineno, obj)`` for each nonblank line of a JSON-lines file.
+    A line that is not a JSON object raises ``error("<path>:<line>: ...")``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise error(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, obj
+
+
+def write_json_lines(path: str, objects) -> None:
+    """Write each of ``objects`` as one line of sorted-key JSON."""
+    with open_output(path, encoding="utf-8", newline="") as fh:
+        fh.writelines(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n"
+                      for obj in objects)

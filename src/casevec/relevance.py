@@ -16,15 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 from collections import defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .bm25 import SimilarityProfile
-from .files import open_output
+from .files import open_output, read_json_objects, write_json_lines
 
 
 class RelevanceError(ValueError):
@@ -403,22 +402,6 @@ def pairwise_weights(
     return WeightTable(ids, overlap * np.where(same_peak, 1.0, best_cos))
 
 
-def read_json_objects(path: str, error: type[Exception]):
-    """Yield ``(lineno, obj)`` for each nonblank line of a JSON-lines file.
-    A line that is not a JSON object raises ``error("<path>:<line>: ...")``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise error(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
-
-
 def load_cases(path: str) -> list[CaseDocument]:
     """Read cases from JSON lines with fields case_id, facts, holding,
     decision, articles[]. Text fields are strings, articles a list of
@@ -486,13 +469,4 @@ def _read_cases(path: str):
 
 
 def save_cases(cases: list[CaseDocument], path: str) -> None:
-    with open_output(path, encoding="utf-8") as fh:
-        for case in cases:
-            obj = {
-                "case_id": case.case_id,
-                "facts": case.facts,
-                "holding": case.holding,
-                "decision": case.decision,
-                "articles": sorted(case.articles),
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+    write_json_lines(path, (dict(asdict(case), articles=sorted(case.articles)) for case in cases))

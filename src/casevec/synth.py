@@ -10,7 +10,6 @@ whole pipeline checkable end to end without real legal data.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .articles import ArticleSpec, save_article_specs
 from .evaluation import QrelSet, QueryCase, save_queries
-from .files import open_output
+from .files import read_rows, write_rows
 from .relevance import CaseDocument, save_cases
 
 
@@ -47,6 +46,9 @@ class SynthSpec:
         )
         if min(counts) < 1:
             raise SynthError("all corpus counts must be positive")
+        if self.queries_per_branch < 0:
+            raise SynthError(
+                f"queries_per_branch must not be negative, got {self.queries_per_branch}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise SynthError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
         if not 0.0 < self.facts_keyword_rate <= 1.0:
@@ -170,32 +172,26 @@ def write_corpus(corpus: SynthCorpus, outdir: str) -> dict[str, str]:
     save_cases(corpus.cases, paths["cases"])
     save_queries(corpus.queries, paths["queries"])
     corpus.qrels.to_tsv(paths["qrels"])
-    with open_output(paths["labels"], encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["case_id", "label"])
-        for case in corpus.cases:
-            article_id, b = corpus.case_branches[case.case_id]
-            writer.writerow([case.case_id, f"{article_id}:b{b}"])
-        for query in corpus.queries:
-            article_id, b = corpus.query_branches[query.query_id]
-            writer.writerow([query.query_id, f"{article_id}:b{b}"])
+    labelled = [(c.case_id, corpus.case_branches[c.case_id]) for c in corpus.cases] + [
+        (q.query_id, corpus.query_branches[q.query_id]) for q in corpus.queries]
+    write_rows(paths["labels"], [("case_id", "label")] + [
+        (item_id, f"{article_id}:b{b}") for item_id, (article_id, b) in labelled])
     return paths
 
 
 def load_labels(path: str) -> dict[str, str]:
     labels = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["case_id", "label"]:
-            raise SynthError(f"{path}: unexpected labels header {header!r}")
-        first_line: dict[str, int] = {}
-        for row in reader:
-            if len(row) != 2:
-                raise SynthError(f"{path}:{reader.line_num}: expected 2 columns, got {len(row)}")
-            if row[0] in first_line:
-                raise SynthError(
-                    f"{path}:{reader.line_num}: case_id {row[0]!r} repeats line {first_line[row[0]]}")
-            first_line[row[0]] = reader.line_num
-            labels[row[0]] = row[1]
+    rows = read_rows(path, SynthError)
+    header = next(rows, (0, None))[1]
+    if header != ["case_id", "label"]:
+        raise SynthError(f"{path}: unexpected labels header {header!r}")
+    first_line: dict[str, int] = {}
+    for lineno, row in rows:
+        if len(row) != 2:
+            raise SynthError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+        if row[0] in first_line:
+            raise SynthError(
+                f"{path}:{lineno}: case_id {row[0]!r} repeats line {first_line[row[0]]}")
+        first_line[row[0]] = lineno
+        labels[row[0]] = row[1]
     return labels

@@ -12,7 +12,6 @@ reproducible and a resumed run continues bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import encoder as enc
 from .circle_loss import CircleLossDiverged, CircleLossParams, loss_gradient
-from .files import open_output
+from .files import write_json_lines
 from .relevance import CaseDocument, WeightTable
 from .sampling import (
     DEFAULT_POSITIVE_FLOOR,
@@ -70,6 +69,9 @@ class TrainConfig:
             raise TrainingError("batch_quadruples must be at least 1")
         if self.learning_rate <= 0:
             raise TrainingError("learning_rate must be positive")
+        if self.checkpoint_every < 0:
+            raise TrainingError(
+                f"checkpoint_every must not be negative, got {self.checkpoint_every}")
 
 
 # Fields a resumed run may change: how far it runs and where it writes
@@ -97,9 +99,7 @@ class TrainLog:
         self.steps.append(record)
 
     def to_jsonl(self, path: str) -> None:
-        with open_output(path, encoding="utf-8") as fh:
-            for rec in self.steps:
-                fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+        write_json_lines(path, map(asdict, self.steps))
 
 
 class Adam:

@@ -284,6 +284,7 @@ class TestPretrainSettings:
         ("--positive-floor", "inf", "positive_floor must be finite, got inf"),
         ("--mask-rate", "3", "mask_rate must be in [0, 1], got 3.0"),
         ("--mask-rate", "-0.1", "mask_rate must be in [0, 1], got -0.1"),
+        ("--checkpoint-every", "-1", "checkpoint_every must not be negative, got -1"),
     ])
     def test_bad_setting_exits_2_before_any_step(self, tmp_path, corpus_dir, capsys,
                                                  flag, value, detail):
@@ -356,6 +357,33 @@ class TestNonFiniteSettings:
                        "--batch-quadruples", "100") == 2
         assert "cannot draw 100 anchors" in capsys.readouterr().err
         assert manifest.read_text() == "existing"
+
+
+class TestCountsBelowMinimum:
+    """A count option below its minimum exits 2 before any output is
+    opened; an existing output keeps its bytes."""
+
+    @pytest.mark.parametrize("argv, out, message", [
+        (["sample", "--weights", "WEIGHTS", "--num-batches", "-1"], "b.jsonl",
+         "--num-batches must be at least 1, got -1"),
+        (["sample", "--weights", "WEIGHTS", "--num-batches", "0"], "b.jsonl",
+         "--num-batches must be at least 1, got 0"),
+        (["gen-corpus", "--queries-per-branch", "-1"], "new-corpus",
+         "queries_per_branch must not be negative, got -1"),
+    ], ids=["sample-negative-batches", "sample-zero-batches", "gen-corpus-negative-queries"])
+    def test_exits_2_and_leaves_output_alone(self, tmp_path, corpus_dir, capsys, argv, out,
+                                             message):
+        weights = tmp_path / "w.csv"
+        assert run_cli("weights", "--articles", str(corpus_dir / "articles.json"),
+                       "--cases", str(corpus_dir / "cases.jsonl"), "--out", str(weights)) == 0
+        existing = tmp_path / "b.jsonl"
+        existing.write_text("existing")
+        capsys.readouterr()
+        argv = [str(weights) if arg == "WEIGHTS" else arg for arg in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert existing.read_text() == "existing"
+        assert not (tmp_path / "new-corpus").exists()
 
 
 MODEL = ("--checkpoint", "PARAMS", "--vocab", "VOCAB")
@@ -492,6 +520,15 @@ class TestMalformedFiles:
         (["sample", "--weights", "BAD"],
          lambda d: "s" * 140_000 + ",target_id,value\n",
          ":1: field larger than field limit (131072)"),
+        (["evaluate", "--run", "RUN", "--qrels", "BAD"],
+         lambda d: "q\tc\t1\nq\t" + "c" * 140_000 + "\t2\n",
+         ":2: field larger than field limit (131072)"),
+        (["evaluate", "--run", "BAD", "--qrels", "QRELS"],
+         lambda d: "q\t" + "1" * 140_000 + "\tc\t0.5\n",
+         ":1: field larger than field limit (131072)"),
+        (["export-embeddings", *MODEL, "--cases", "CASES", "--labels", "BAD"],
+         lambda d: f"case_id,label\n{FIRST_CASE},a\n{SECOND_CASE}," + "x" * 140_000 + "\n",
+         ":3: field larger than field limit (131072)"),
         (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
          lambda d: _cases_text(d, lambda ls: ls[:1] + [_with(ls[1], case_id="cr\rlf")]),
          ":2: case_id 'cr\\rlf' holds a carriage return without a line feed"),
@@ -515,7 +552,8 @@ class TestMalformedFiles:
             "params-cut-array", "weights-unknown-article", "pretrain-unknown-article",
             "weights-no-article", "pretrain-no-article", "weights-repeated-article",
             "sample-field-over-limit",
-            "sample-header-over-limit", "weights-id-lone-cr", "encode-id-lone-cr",
+            "sample-header-over-limit", "qrels-field-over-limit", "run-field-over-limit",
+            "labels-field-over-limit", "weights-id-lone-cr", "encode-id-lone-cr",
             "query-repeated-id", "encode-vocab-repeated-token", "rank-vocab-missing-special"])
     def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
                                         message):

@@ -214,7 +214,8 @@ class TestRank:
         run = rank(query, CandidatePool("q", candidates), params, cfg, vocab, TOK)
         assert run.ranking[0][0] == "c-same"
         assert run.ranking[0][1] == pytest.approx(1.0, abs=1e-12)
-        run.validate()
+        scores = [score for _, score in run.ranking]
+        assert scores == sorted(scores, reverse=True)
 
     def test_order_invariant_to_pool_order(self):
         query, candidates, params, cfg, vocab = self.make_pool()
@@ -459,6 +460,7 @@ class TestExportEmbeddings:
         with pytest.raises(EvaluationError, match="at least 2"):
             export_embeddings(cases[:1], params, cfg, vocab, TOK,
                               str(tmp_path / "x.csv"), projection="pca2d")
+        assert not (tmp_path / "x.csv").exists()  # projected before the output is opened
 
     def test_unknown_projection_rejected(self, tmp_path):
         cases, params, cfg, vocab = self.make_cases()
@@ -522,7 +524,3 @@ class TestFileFormats:
         with pytest.raises(EvaluationError, match="negative"):
             QrelSet({("q", "c"): -1})
 
-    def test_scores_must_be_sorted(self):
-        bad = ranked("q", [("a", 0.1), ("b", 0.9)])
-        with pytest.raises(EvaluationError, match="non-increasing"):
-            bad.validate()

@@ -1,8 +1,20 @@
 import os
+from pathlib import Path
 
 import pytest
 
-from casevec.files import open_output
+from casevec import cli
+from casevec.articles import ArticleSpec, load_article_specs
+from casevec.evaluation import QrelSet, QueryCase, load_queries
+from casevec.files import (
+    open_output,
+    read_json_objects,
+    read_rows,
+    write_json_lines,
+    write_rows,
+)
+from casevec.relevance import CaseDocument, load_cases
+from casevec.synth import SynthCorpus, load_labels, write_corpus
 
 
 def test_creates_a_new_file(tmp_path):
@@ -79,3 +91,74 @@ def test_missing_directory_raises_os_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         with open_output(str(tmp_path / "nope" / "out.txt")):
             pass
+
+
+class TextError(ValueError):
+    pass
+
+
+def test_read_rows_cites_the_line_a_row_ends_on_and_yields_empty_rows(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b'a\tb\n\n"multi\nline\nid"\tc\nd\te\n')
+    assert list(read_rows(str(path), TextError, delimiter="\t")) == [
+        (1, ["a", "b"]), (2, []), (5, ["multi\nline\nid", "c"]), (6, ["d", "e"])]
+
+
+def test_read_rows_turns_a_csv_error_into_the_given_error_at_its_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\nc,d\n" + "x" * 140_000 + ",y\n", encoding="utf-8")
+    rows = read_rows(str(path), TextError)
+    assert [row for _, row in zip(range(2), rows)] == [(1, ["a", "b"]), (2, ["c", "d"])]
+    with pytest.raises(TextError) as excinfo:
+        next(rows)
+    assert str(excinfo.value) == f"{path}:3: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_write_rows_round_trips_through_read_rows(tmp_path, delimiter):
+    path = tmp_path / "t.txt"
+    rows = [["id", "value"], ["a,b", "1"], ['q"uote', "x\ty"], ["line\nbreak", ""]]
+    write_rows(str(path), iter(rows), delimiter=delimiter)
+    assert path.read_bytes().count(b"\r") == 0
+    assert [row for _, row in read_rows(str(path), TextError, delimiter)] == rows
+
+
+def test_write_json_lines_writes_one_sorted_key_object_per_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_json_lines(str(path), [{"b": 1, "a": "x"}, {"c": [1.5]}])
+    assert path.read_bytes() == b'{"a": "x", "b": 1}\n{"c": [1.5]}\n'
+    assert list(read_json_objects(str(path), TextError)) == [
+        (1, {"a": "x", "b": 1}), (2, {"c": [1.5]})]
+
+
+HAN = "盗窃罪"  # theft, a charge of the PRC Criminal Law
+
+
+def test_non_ascii_text_is_written_as_utf8_and_reads_back(tmp_path):
+    """Cases, queries, qrels, labels and expanded branches all keep
+    non-ASCII text as UTF-8 bytes, never as \\uXXXX escapes."""
+    case = CaseDocument(f"case-{HAN}", facts=f"facts {HAN}", holding=HAN,
+                        decision=f"decided {HAN}", articles=frozenset({f"art-{HAN}"}))
+    query = QueryCase(f"query-{HAN}", facts=f"{HAN} facts")
+    corpus = SynthCorpus(
+        article_specs=[ArticleSpec(f"art-{HAN}", [[[HAN], ["x"]]])], cases=[case],
+        case_branches={case.case_id: (f"art-{HAN}", 0)}, queries=[query],
+        query_branches={query.query_id: (f"art-{HAN}", 0)},
+        qrels=QrelSet({(query.query_id, case.case_id): 3}))
+    paths = write_corpus(corpus, str(tmp_path / "corpus"))
+    branches = tmp_path / "branches.jsonl"
+    assert cli.main(["expand-articles", "--articles", paths["articles"],
+                     "--out", str(branches)]) == 0
+
+    utf8 = HAN.encode("utf-8")
+    for path in [*map(Path, paths.values()), branches]:
+        data = path.read_bytes()
+        assert utf8 in data and b"\\u" not in data, path
+    assert load_cases(paths["cases"]) == [case]
+    assert load_queries(paths["queries"]) == [query]
+    assert QrelSet.from_tsv(paths["qrels"]).grades == corpus.qrels.grades
+    assert load_labels(paths["labels"]) == {
+        case.case_id: f"art-{HAN}:b0", query.query_id: f"art-{HAN}:b0"}
+    assert load_article_specs(paths["articles"]) == corpus.article_specs
+    assert [obj for _, obj in read_json_objects(str(branches), TextError)] == [
+        {"article_id": f"art-{HAN}", "branch_index": 0, "keyword_sequence": [HAN, "x"]}]

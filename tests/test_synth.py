@@ -56,6 +56,11 @@ class TestGenerate:
         with pytest.raises(SynthError, match="noise_rate"):
             SynthSpec(noise_rate=1.0)
 
+    def test_queries_per_branch_not_negative(self):
+        with pytest.raises(SynthError, match="queries_per_branch must not be negative, got -1"):
+            SynthSpec(queries_per_branch=-1)
+        assert generate(SynthSpec(queries_per_branch=0)).queries == []
+
     def test_qrels_grade_by_branch_and_article(self):
         corpus = generate(SynthSpec(num_articles=2, branches_per_article=2,
                                     cases_per_branch=2, queries_per_branch=1, vocab_size=40))

@@ -350,3 +350,8 @@ class TestConfigValidation:
     def test_learning_rate_positive(self):
         with pytest.raises(TrainingError):
             TrainConfig(learning_rate=0.0)
+
+    def test_checkpoint_every_not_negative(self):
+        with pytest.raises(TrainingError, match="checkpoint_every must not be negative, got -1"):
+            TrainConfig(checkpoint_every=-1)
+        assert TrainConfig(checkpoint_every=0).checkpoint_every == 0
