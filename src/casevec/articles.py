@@ -15,7 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .files import open_output
+from .files import decode_error, open_output
 from .text import TokenizerConfig, tokenize
 
 
@@ -139,6 +139,8 @@ def load_article_specs(path: str) -> list[ArticleSpec]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError:
+            raise decode_error(path, ArticleSpecError) from None
         except json.JSONDecodeError as exc:
             raise ArticleSpecError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

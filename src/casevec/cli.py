@@ -37,7 +37,7 @@ from .evaluation import (
     save_metrics,
     save_run,
 )
-from .files import open_output, write_json_lines, write_rows
+from .files import decode_error, open_output, write_json_lines, write_rows
 from .relevance import WeightTable, load_cases, load_citing_cases, pairwise_weights
 from .sampling import build_batch, class_partition, sample_quadruples
 from .synth import SynthSpec, generate, load_labels, write_corpus
@@ -194,6 +194,8 @@ def _read_config(path: str, opts: dict[str, _Opt]) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             values = json.load(fh)
+        except UnicodeDecodeError:
+            raise decode_error(path, CliError) from None
         except ValueError as exc:
             raise CliError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(values, dict):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .files import open_output
+from .files import decode_error, open_output
 
 LOGGER = logging.getLogger(__name__)
 
@@ -68,7 +68,11 @@ class Vocab:
         start with the special tokens, or repeats a token, fails with
         ``<path>:<line>:``."""
         with open(path, encoding="utf-8") as fh:
-            lines = [(n, tok) for n, line in enumerate(fh, start=1) if (tok := line.rstrip("\n"))]
+            try:
+                lines = [(n, tok) for n, line in enumerate(fh, start=1)
+                         if (tok := line.rstrip("\n"))]
+            except UnicodeDecodeError:
+                raise decode_error(path, EncoderError) from None
         for (n, tok), special in zip(lines, SPECIAL_TOKENS):
             if tok != special:
                 raise EncoderError(f"{path}:{n}: expected special token {special!r}, got {tok!r}")
@@ -515,8 +519,9 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a store written by ``save_arrays``. A store whose header is cut
-    or unreadable, whose payload is shorter than the header's shapes need,
-    or that has bytes after the last array raises ``EncoderError``."""
+    or unreadable or gives an array a shape or dtype no array can have,
+    whose payload is shorter than the header's shapes need, or that has
+    bytes after the last array raises ``EncoderError``."""
 
     def corrupt(detail: str) -> EncoderError:
         return EncoderError(f"{path}: truncated or corrupt store: {detail}")
@@ -539,11 +544,16 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
             raise corrupt(f"metadata is not an object: {meta!r}")
         arrays = {}
         for name, dtype, shape in layout:
+            if min(shape, default=0) < 0:
+                raise corrupt(f"array {name!r} has a negative dimension in shape {shape}")
             size = math.prod(shape) * dtype.itemsize
             data = fh.read(size)
             if len(data) != size:
                 raise corrupt(f"array {name!r} needs {size} bytes, {len(data)} remain")
-            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            try:
+                arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            except ValueError as exc:  # a dtype no buffer holds, such as |O
+                raise corrupt(f"array {name!r} of dtype {dtype.str}: {exc}") from None
         if fh.read(1):
             raise corrupt("bytes remain after the last array")
     return arrays, meta

@@ -1,12 +1,14 @@
 """Reading and writing the package's line-oriented text files.
 
-CSV, TSV and JSON-lines files are read and written here, except the weight
-table, whose CSV code in ``relevance`` is tuned for speed. They are UTF-8
+CSV, TSV and JSON-lines files are read and written here. They are UTF-8
 with ``\\n`` line ends; tables are quoted by ``csv.writer``'s minimal rules,
 and JSON lines hold one sorted-key object per line, non-ASCII text as
 UTF-8, not ``\\uXXXX`` escapes. A line a reader cannot parse raises the
 caller's error class with ``<path>:<line>: <message>``, the line being the
-one the row ends on.
+one the row ends on, or for a byte that is not UTF-8 the one that holds
+it. The weight table's reader in ``relevance`` parses a valid file a block
+of rows at a time and reads a file it rejects again through ``read_rows``,
+which locates the first error.
 
 Every file the package writes is opened with ``open_output``. It rewrites
 an existing file in place and cuts it to the new length when the writer is
@@ -52,6 +54,8 @@ def read_rows(path: str, error: type[Exception], delimiter: str = ","):
                 yield reader.line_num, row
         except csv.Error as exc:
             raise error(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise decode_error(path, error) from None
 
 
 def write_rows(path: str, rows, delimiter: str = ",") -> None:
@@ -64,16 +68,35 @@ def read_json_objects(path: str, error: type[Exception]):
     """Yield ``(lineno, obj)`` for each nonblank line of a JSON-lines file.
     A line that is not a JSON object raises ``error("<path>:<line>: ...")``."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+                if not isinstance(obj, dict):
+                    raise error(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, obj
+        except UnicodeDecodeError:
+            raise decode_error(path, error) from None
+
+
+def decode_error(path: str, error: type[Exception]) -> Exception:
+    """``error("<path>:<line>: <reason>")`` for the first byte of ``path``
+    that is not UTF-8, to raise where reading it as text failed. The text
+    layer decodes up to 8 KB ahead of the line it hands out, so the line
+    that holds the byte is found by reading the bytes again, split where
+    the text layer splits them."""
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))
+        for lineno, line in enumerate(lines, start=1):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise error(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return error(f"{path}:{lineno}: {exc}")
+    return error(f"{path}: not UTF-8")  # the file changed since the failed read
 
 
 def write_json_lines(path: str, objects) -> None:

@@ -19,11 +19,12 @@ import itertools
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
 from .bm25 import SimilarityProfile
-from .files import open_output, read_json_objects, write_json_lines
+from .files import open_output, read_json_objects, read_rows, write_json_lines
 
 
 class RelevanceError(ValueError):
@@ -173,23 +174,20 @@ class WeightTable:
         A file that is not one weight in [0, 1] for every ordered pair of
         its source ids raises the error a row-by-row reader meets first:
         a row that does not parse or whose value is out of range, a
-        repeated pair, a line that ``csv.reader`` cannot read, each with
-        ``<path>:<line>:``; then a file without a
+        repeated pair, a line that ``csv.reader`` cannot read or that is
+        not UTF-8, each with ``<path>:<line>:``; then a file without a
         row, a target that is never a source (at its first line) and a
         missing pair. The rows are parsed a block at a time into id codes
-        and values, and every check runs on arrays; the file is read again,
-        up to the bad row, only to find that row's line.
+        and values, and the table is checked on arrays; only a file that
+        fails is read again, row by row, to find its first error.
         """
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-            except csv.Error as exc:
-                raise RelevanceError(f"{path}:{reader.line_num}: {exc}") from None
-            if header != _WEIGHT_CSV_HEADER:
-                raise RelevanceError(f"{path}: unexpected weight CSV header {header!r}")
-            rows = _WeightRows(path, reader)
-        return cls(*rows.table())
+        try:
+            table = _valid_table(path)
+        except (csv.Error, ValueError):  # a row csv.reader, UTF-8 or float() cannot read
+            table = None
+        if table is None:
+            _raise_first_error(path)
+        return cls(*table)
 
 
 def _csv_fields(ids: list[str]) -> list[str]:
@@ -206,138 +204,90 @@ def _csv_fields(ids: list[str]) -> list[str]:
     return fields
 
 
-def _parse_block(block: list[list[str]]):
-    """The block's source, target and value columns, the values as floats,
-    or None if some row has not three fields or a value that is no float."""
-    if set(map(len, block)) - {3}:
+def _valid_table(path: str) -> tuple[list[str], np.ndarray] | None:
+    """The ids and matrix of a weight CSV read a block of rows at a time,
+    or None if the file is not a valid table. It never locates an error."""
+    codes: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # ids of either column
+    sources: dict[str, None] = {}  # in order of first appearance as a source
+    blocks = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != _WEIGHT_CSV_HEADER:
+            return None
+        while columns := _block_columns(reader, codes, sources):
+            blocks.append(columns)
+    n = len(sources)
+    if not n or len(codes) != n:
         return None
+    src, tgt, values = map(np.concatenate, zip(*blocks))
+    del blocks  # copied; freed before the matrix is built (peak 60 -> 45 MB at N=960)
+    # every id is a source: renumber the codes in source order
+    position = np.empty(n, dtype=np.int64)
+    position[np.fromiter(map(codes.__getitem__, sources), np.int64, n)] = np.arange(n)
+    flat = position[src] * n + position[tgt]
+    filled = np.zeros(n * n, dtype=bool)
+    filled[flat] = True
+    if len(flat) != n * n or not filled.all():  # some pair repeats or is missing
+        return None
+    matrix = np.empty(n * n, dtype=np.float64)
+    matrix[flat] = values
+    return list(sources), matrix.reshape(n, n)
+
+
+def _block_columns(reader, codes, sources):
+    """The next block of rows as source codes, target codes and values,
+    None at the end of the file. A row that has not three fields or whose
+    value is not in [0, 1] raises ValueError. The block's row objects are
+    freed on return, before the next block is read."""
+    block = list(itertools.islice(reader, _BLOCK_ROWS))
+    if not block:
+        return None
+    if set(map(len, block)) != {3}:
+        raise ValueError("a row has not three fields")
     fields = list(itertools.chain.from_iterable(block))
     srcs, tgts, vals = fields[0::3], fields[1::3], fields[2::3]
-    try:
-        return srcs, tgts, np.fromiter(map(float, vals), np.float64, len(vals))
-    except ValueError:
-        return None
+    values = np.fromiter(map(float, vals), np.float64, len(vals))
+    if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails both comparisons
+        raise ValueError("a weight is not in [0, 1]")
+    sources.update(dict.fromkeys(srcs))
+    return (np.fromiter(map(codes.__getitem__, srcs), np.int64, len(srcs)),
+            np.fromiter(map(codes.__getitem__, tgts), np.int64, len(tgts)), values)
 
 
-class _WeightRows:
-    """The rows of a weight CSV as arrays, and the first error in them.
-
-    ``codes`` numbers every id in order of first appearance in either
-    column; ``src``, ``tgt`` and ``values`` hold the rows read, as codes
-    and floats; ``error`` is ``(row, message)`` of the first row that does
-    not parse or whose value is outside [0, 1], and ``csv_error`` the
-    error for what the reader raised, at the line it failed on. Reading
-    stops at either.
-    """
-
-    def __init__(self, path: str, reader):
-        self.path = path
-        self.codes: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-        self.sources: dict[str, None] = {}  # in order of first appearance as a source
-        self.src: list[np.ndarray] = [np.empty(0, np.int64)]
-        self.tgt: list[np.ndarray] = [np.empty(0, np.int64)]
-        self.values: list[np.ndarray] = [np.empty(0)]
-        self.error: tuple[int, str] | None = None
-        self.csv_error: RelevanceError | None = None
-        start = 0  # rows before the block
-        while self.error is None and self.csv_error is None:
-            read = self._add_block(reader, start)
-            if not read:
-                break
-            start += read
-
-    def _add_block(self, reader, start: int) -> int:
-        """Read and add the next block of rows; returns how many were read.
-        The block's row objects are freed on return, before the next is read."""
+def _raise_first_error(path: str) -> NoReturn:
+    """Raise the first error of a weight CSV that ``_valid_table`` rejects,
+    reading it one row at a time and checking each row as it is read."""
+    codes: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    sources: dict[str, None] = {}  # in order of first appearance as a source
+    pending: dict[str, int] = {}  # first line of each target read before it was a source
+    pairs: set[int] = set()  # source code << 32 | target code: ints take less memory than tuples
+    rows = read_rows(path, RelevanceError)
+    header = next(rows, (0, None))[1]
+    if header != _WEIGHT_CSV_HEADER:
+        raise RelevanceError(f"{path}: unexpected weight CSV header {header!r}")
+    for line, row in rows:
         try:
-            block = list(itertools.islice(reader, _BLOCK_ROWS))
-        except csv.Error as exc:
-            # the reader fails on a row after the block's start; the rows
-            # before it are checked first, as a row-by-row reader would
-            self.csv_error = RelevanceError(f"{self.path}:{reader.line_num}: {exc}")
-            block = _rows_from(self.path, start)
-        if not block:
-            return 0
-        columns = _parse_block(block)
-        if columns is None:
-            for i, row in enumerate(block):
-                try:
-                    _, _, val = row
-                    float(val)
-                except ValueError as exc:
-                    self.error = (start + i, f"bad row {row!r}: {exc}")
-                    break
-            block = block[:i]
-            columns = _parse_block(block)
-        srcs, tgts, values = columns
-        out = ~((values >= 0.0) & (values <= 1.0))  # NaN fails both comparisons
-        if out.any():
-            i = int(np.argmax(out))
-            self.error = (start + i, f"weight {block[i][2]!r} is not in [0, 1]")
-            srcs, tgts, values = srcs[:i], tgts[:i], values[:i]
-        self.sources.update(dict.fromkeys(srcs))
-        self.src.append(np.fromiter(map(self.codes.__getitem__, srcs), np.int64, len(srcs)))
-        self.tgt.append(np.fromiter(map(self.codes.__getitem__, tgts), np.int64, len(tgts)))
-        self.values.append(values)
-        return len(block)
-
-    def table(self) -> tuple[list[str], np.ndarray]:
-        """The ids and matrix the rows read give, or the error a row-by-row
-        reader raises first."""
-        src, tgt = np.concatenate(self.src), np.concatenate(self.tgt)
-        names = list(self.codes)
-        keys = src * len(names) + tgt
-        order = np.argsort(keys, kind="stable")
-        repeat = keys[order[1:]] == keys[order[:-1]]
-        if repeat.any():
-            row = int(order[1:][repeat].min())  # the first row whose pair came before
-            self._raise_at(row, f"duplicate pair ({names[src[row]]!r}, {names[tgt[row]]!r})")
-        if self.error is not None:
-            self._raise_at(*self.error)
-        if self.csv_error is not None:
-            raise self.csv_error
-        if not len(src):
-            raise RelevanceError(f"{self.path}: holds no weight")
-        is_source = np.zeros(len(names), dtype=bool)
-        is_source[src] = True
-        unknown = ~is_source[tgt]
-        if unknown.any():
-            row = int(np.argmax(unknown))
-            self._raise_at(row, f"target {names[tgt[row]]!r} is not a source id")
-        # every id is a source: renumber the codes in source order
-        ids = list(self.sources)
-        n = len(ids)
-        position = np.empty(n, dtype=np.int64)
-        position[np.fromiter(map(self.codes.__getitem__, ids), np.int64, n)] = np.arange(n)
-        flat = position[src] * n + position[tgt]
-        if len(flat) < n * n:  # no pair repeats, so some pair is missing
-            filled = np.zeros(n * n, dtype=bool)
-            filled[flat] = True
-            i, j = divmod(int(np.argmin(filled)), n)
-            raise RelevanceError(f"{self.path}: missing pair ({ids[i]!r}, {ids[j]!r})")
-        matrix = np.empty(n * n, dtype=np.float64)
-        matrix[flat] = np.concatenate(self.values)
-        return ids, matrix.reshape(n, n)
-
-    def _raise_at(self, row: int, message: str):
-        with open(self.path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            for _ in itertools.islice(reader, row + 2):  # the header and rows 0 to row
-                pass
-            raise RelevanceError(f"{self.path}:{reader.line_num}: {message}")
-
-
-def _rows_from(path: str, start: int) -> list[list[str]]:
-    """The rows of a CSV file from data row ``start`` up to the first that
-    ``csv.reader`` cannot read."""
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            for row in itertools.islice(csv.reader(fh), start + 1, None):
-                rows.append(row)
-        except csv.Error:
-            pass
-    return rows
+            src, tgt, val = row
+            value = float(val)
+        except ValueError as exc:
+            raise RelevanceError(f"{path}:{line}: bad row {row!r}: {exc}") from None
+        if not 0.0 <= value <= 1.0:
+            raise RelevanceError(f"{path}:{line}: weight {val!r} is not in [0, 1]")
+        sources.setdefault(src)
+        if tgt not in sources:
+            pending.setdefault(tgt, line)
+        pair = codes[src] << 32 | codes[tgt]
+        if pair in pairs:
+            raise RelevanceError(f"{path}:{line}: duplicate pair ({src!r}, {tgt!r})")
+        pairs.add(pair)
+    if not pairs:
+        raise RelevanceError(f"{path}: holds no weight")
+    for tgt, line in pending.items():
+        if tgt not in sources:
+            raise RelevanceError(f"{path}:{line}: target {tgt!r} is not a source id")
+    src, tgt = next((src, tgt) for src in sources for tgt in sources
+                    if codes[src] << 32 | codes[tgt] not in pairs)
+    raise RelevanceError(f"{path}: missing pair ({src!r}, {tgt!r})")
 
 
 def pairwise_weights(

@@ -544,6 +544,24 @@ class TestMalformedFiles:
         (["rank", "--checkpoint", "PARAMS", "--vocab", "BAD", "--queries", "QUERIES",
           "--cases", "CASES"],
          lambda d: "[PAD]\n[UNK]\n[SEP]\n", ":3: expected special token '[CLS]', got '[SEP]'"),
+        (["evaluate", "--run", "RUN", "--qrels", "BAD"],
+         lambda d: b"q\tc\t1\nq\t\xffd\t2\n",
+         ":2: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+        (["encode", *MODEL, "--cases", "BAD"],
+         lambda d: _cases_text(d, lambda ls: ls[:2]).encode() + b'{"case_id": "\xff"}\n',
+         ":3: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+        (["weights", "--articles", "BAD", "--cases", "CASES"],
+         lambda d: b'{\n  "articles": [\xff]\n}\n',
+         ":2: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+        (["encode", "--checkpoint", "PARAMS", "--vocab", "BAD", "--cases", "CASES"],
+         lambda d: (d.parent / "run" / "vocab.txt").read_bytes() + b"\xfe\n",
+         ":51: 'utf-8' codec can't decode byte 0xfe in position 0: invalid start byte"),
+        (["sample", "--weights", "BAD"],
+         lambda d: b"source_id,target_id,value\na,a,1.0\nb\xe9,a,0.5\n",
+         ":3: 'utf-8' codec can't decode byte 0xe9 in position 1: invalid continuation byte"),
+        (["weights", "--articles", "ARTICLES", "--cases", "CASES", "--config", "BAD"],
+         lambda d: b'{"k1": "\xff"}\n',
+         ":1: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
     ], ids=["case-not-object", "query-not-object", "query-facts-number", "articles-string",
             "facts-number", "encode-repeated-id", "weights-repeated-id", "weights-header-only",
             "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields",
@@ -554,7 +572,9 @@ class TestMalformedFiles:
             "sample-field-over-limit",
             "sample-header-over-limit", "qrels-field-over-limit", "run-field-over-limit",
             "labels-field-over-limit", "weights-id-lone-cr", "encode-id-lone-cr",
-            "query-repeated-id", "encode-vocab-repeated-token", "rank-vocab-missing-special"])
+            "query-repeated-id", "encode-vocab-repeated-token", "rank-vocab-missing-special",
+            "qrels-not-utf8", "cases-not-utf8", "articles-not-utf8", "vocab-not-utf8",
+            "weights-csv-not-utf8", "config-not-utf8"])
     def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
                                         message):
         model = tmp_path / "run"

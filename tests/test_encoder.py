@@ -5,6 +5,7 @@ every parameter of a tiny configuration, driving both output heads (the
 masked-token logits and the first-position embedding).
 """
 
+import json
 import math
 import tracemalloc
 
@@ -527,19 +528,28 @@ class TestParameterStore:
         with pytest.raises(enc.EncoderError, match="does not hold encoder params"):
             enc.load_params(str(path))
 
-    @pytest.mark.parametrize("damage", ["cut_header", "bad_header", "cut_payload", "trailing"])
+    @pytest.mark.parametrize("damage", ["cut_header", "bad_header", "cut_payload", "trailing",
+                                        "object_dtype", "negative_shape"])
     def test_damaged_store_names_path(self, tmp_path, damage):
         cfg = tiny_config()
         path = tmp_path / "params.bin"
         enc.save_params(str(path), enc.init_params(cfg), cfg)
         data = path.read_bytes()
         header_end = data.index(b"\n", len(enc.STORE_MAGIC)) + 1
+        header = json.loads(data[len(enc.STORE_MAGIC):header_end])
+
+        def with_first_array(**entry):
+            header["arrays"][0].update(entry)
+            return enc.STORE_MAGIC + json.dumps(header).encode() + b"\n" + data[header_end:]
+
         damaged = {
-            "cut_header": data[: header_end - 10],
-            "bad_header": enc.STORE_MAGIC + b"{not json}\n" + data[header_end:],
-            "cut_payload": data[:-5],
-            "trailing": data + b"\0",
-        }[damage]
+            "cut_header": lambda: data[: header_end - 10],
+            "bad_header": lambda: enc.STORE_MAGIC + b"{not json}\n" + data[header_end:],
+            "cut_payload": lambda: data[:-5],
+            "trailing": lambda: data + b"\0",
+            "object_dtype": lambda: with_first_array(dtype="|O"),
+            "negative_shape": lambda: with_first_array(shape=[-1]),
+        }[damage]()
         path.write_bytes(damaged)
         with pytest.raises(enc.EncoderError, match="truncated or corrupt store") as excinfo:
             enc.load_params(str(path))

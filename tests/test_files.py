@@ -114,6 +114,18 @@ def test_read_rows_turns_a_csv_error_into_the_given_error_at_its_line(tmp_path):
     assert str(excinfo.value) == f"{path}:3: field larger than field limit (131072)"
 
 
+@pytest.mark.parametrize("read", [read_rows, read_json_objects], ids=["rows", "json-lines"])
+def test_a_byte_that_is_not_utf8_is_cited_at_the_line_that_holds_it(tmp_path, read):
+    """The text layer meets the byte while it decodes ahead, about 200
+    lines before the one that holds it; lines end in \\r\\n, \\r or \\n."""
+    path = tmp_path / "t.txt"
+    path.write_bytes(b'{"a": 1}\r\n' * 1000 + b'{"a": 2}\r{"a": 3}\n{"a": "\xe9t\xe9"}\n')
+    with pytest.raises(TextError) as excinfo:
+        list(read(str(path), TextError))
+    assert str(excinfo.value) == (f"{path}:1003: 'utf-8' codec can't decode byte 0xe9"
+                                  " in position 7: invalid continuation byte")
+
+
 @pytest.mark.parametrize("delimiter", [",", "\t"])
 def test_write_rows_round_trips_through_read_rows(tmp_path, delimiter):
     path = tmp_path / "t.txt"

@@ -356,6 +356,25 @@ def test_reader_matches_the_row_by_row_reader(tmp_path, monkeypatch, block_rows)
     assert target_first >= 20
 
 
+@pytest.mark.parametrize("block_rows", [1, 4, 2048])
+def test_valid_files_never_reach_the_row_by_row_pass(tmp_path, monkeypatch, block_rows):
+    """``to_csv`` output over quoted, multi-line, non-ASCII and empty ids
+    reads back in the block pass alone."""
+    def refuse(path):
+        raise AssertionError(f"{path} was read row by row")
+
+    monkeypatch.setattr(relevance, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(relevance, "_raise_first_error", refuse)
+    rng = np.random.default_rng(block_rows)
+    for n in range(1, len(WEIGHT_IDS) + 1):
+        table = WeightTable(WEIGHT_IDS[:n], rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6))
+        path = str(tmp_path / f"w{n}.csv")
+        table.to_csv(path)
+        loaded = WeightTable.from_csv(path)
+        assert loaded.ids == table.ids
+        assert loaded.matrix.tobytes() == table.matrix.tobytes()
+
+
 def test_reader_names_the_line_after_a_multi_line_id(tmp_path):
     path = tmp_path / "weights.csv"
     path.write_text('source_id,target_id,value\n"a\nb","a\nb",1.0\n"a\nb","a\nb",0.5\n')
