@@ -157,24 +157,35 @@ def init_params(cfg: EncoderConfig) -> Params:
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
-    """Normalize the last axis to zero mean and unit variance, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return gain * xhat + bias, (xhat, inv)
+    """Normalize the last axis to zero mean and unit variance, then affine.
+    Returns the output and the (xhat, inv) cache ``layer_norm_backward``
+    reads; writes only arrays it allocates."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out = np.square(xhat)
+    var = out.mean(axis=-1, keepdims=True)
+    var += eps
+    inv = 1.0 / np.sqrt(var, out=var)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, (xhat, inv)
 
 
 def layer_norm_backward(dy: np.ndarray, cache, gain: np.ndarray):
+    """Gradients of the input, gain and bias; reads ``dy`` and the cache
+    without writing them."""
     xhat, inv = cache
-    dgain = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dbias = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dxhat = dy * gain
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    h = xhat.shape[-1]
+    scratch = dy * xhat
+    dgain = scratch.reshape(-1, h).sum(axis=0)
+    dbias = dy.reshape(-1, h).sum(axis=0)
+    dx = dy * gain  # d xhat, then d x in place
+    np.multiply(dx, xhat, out=scratch)
+    proj = scratch.mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, proj, out=scratch)
+    dx -= scratch
+    dx *= inv
     return dx, dgain, dbias
 
 
@@ -182,27 +193,72 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-def _gelu_tanh_arg(x: np.ndarray) -> np.ndarray:
-    """√(2/π)·(x + 0.044715·x³). The cube is two multiplies: numpy sends
-    ``x**3`` through ``pow``, about 50× slower, and the two differ by at
-    most 1 ulp."""
-    return _GELU_C * (x + _GELU_K * (x * x * x))
+def gelu(x: np.ndarray):
+    """tanh-GELU, 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))). Returns the
+    activation and the tanh, which ``gelu_grad`` reads back. The cube is
+    two multiplies: numpy sends ``x**3`` through ``pow``, about 50×
+    slower, and the two differ by at most 1 ulp."""
+    t = x * x
+    t *= x
+    t *= _GELU_K
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = x * 0.5
+    out *= t + 1.0
+    return out, t
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_gelu_tanh_arg(x)))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_gelu_tanh_arg(x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu / dx at ``x``, given the tanh ``gelu(x)`` returned:
+    0.5·(1 + t) + 0.5·x·(1 - t²)·√(2/π)·(1 + 3·0.044715·x²)."""
+    out = x * 0.5
+    scratch = t * t
+    np.subtract(1.0, scratch, out=scratch)
+    out *= scratch
+    out *= _GELU_C
+    np.multiply(x, 3.0 * _GELU_K, out=scratch)
+    scratch *= x
+    scratch += 1.0
+    out *= scratch
+    np.add(t, 1.0, out=scratch)
+    scratch *= 0.5
+    out += scratch
+    return out
 
 
 def _softmax_masked(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis; -inf entries come out exactly zero."""
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place; -inf entries come out exactly
+    zero."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _softmax_backward(dprobs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """d loss / d scores of the softmax ``probs``, given d loss / d probs:
+    probs * (dprobs - (dprobs * probs).sum(-1)), built in ``dprobs``."""
+    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dprobs *= probs
+    return dprobs
+
+
+def _embedding_grad(ids: np.ndarray, dx: np.ndarray, vocab_size: int) -> np.ndarray:
+    """The V×H sum of ``dx``'s rows per token id. One bincount over
+    id·H + column: like ``np.add.at`` it adds in order of occurrence, so
+    the bits are those of ``np.add.at(zeros, ids, dx)``."""
+    h = dx.shape[-1]
+    cells = (ids.reshape(-1, 1) * h + np.arange(h)).reshape(-1)
+    return np.bincount(cells, weights=dx.reshape(-1),
+                       minlength=vocab_size * h).reshape(vocab_size, h)
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b``, the bias added in place."""
+    out = x @ w
+    out += b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +296,9 @@ def _embed(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConfi
         raise EncoderError(f"sequence length {l} exceeds max_len {cfg.max_len}")
     scale = 1.0 / math.sqrt(cfg.hidden_size // cfg.num_heads)
     bias = np.where(valid[:, None, None, :], 0.0, -np.inf)
-    return params["tok_emb"][ids] + params["pos_emb"][:l], scale, bias
+    x = params["tok_emb"][ids]
+    x += params["pos_emb"][:l]
+    return x, scale, bias
 
 
 def _at(x: np.ndarray, rows) -> np.ndarray:
@@ -264,22 +322,32 @@ def _block(x, scale, bias, params: Params, cfg: EncoderConfig, i: int, rows=None
     queries, the residual, ``ln2`` and the FFN run at each sequence's
     ``rows`` (B×R, distinct within a sequence) only, or at every position
     when ``rows`` is None. Returns the output at ``rows`` and the
-    intermediates ``backward`` reads."""
+    intermediates ``backward`` reads. Writes only arrays it allocates;
+    each in-place step keeps the grouping of ``x + ctx @ wo + bo`` and
+    the like, so the bits are those of the allocating expressions."""
     p = f"layers.{i}."
     h1, ln1_cache = layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"], cfg.layer_norm_eps)
     h1q = _at(h1, rows)
-    q = _split_heads(h1q @ params[p + "attn.wq"] + params[p + "attn.bq"], cfg.num_heads)
-    k = _split_heads(h1 @ params[p + "attn.wk"] + params[p + "attn.bk"], cfg.num_heads)
-    v = _split_heads(h1 @ params[p + "attn.wv"] + params[p + "attn.bv"], cfg.num_heads)
-    attn = _softmax_masked(q @ k.swapaxes(-1, -2) * scale + bias)
+    q = _split_heads(_linear(h1q, params[p + "attn.wq"], params[p + "attn.bq"]), cfg.num_heads)
+    k = _split_heads(_linear(h1, params[p + "attn.wk"], params[p + "attn.bk"]), cfg.num_heads)
+    v = _split_heads(_linear(h1, params[p + "attn.wv"], params[p + "attn.bv"]), cfg.num_heads)
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    scores += bias
+    attn = _softmax_masked(scores)
     ctx = _merge_heads(attn @ v)
-    x1 = _at(x, rows) + ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
+    x1 = ctx @ params[p + "attn.wo"]
+    x1 += _at(x, rows)
+    x1 += params[p + "attn.bo"]
     h2, ln2_cache = layer_norm(x1, params[p + "ln2.g"], params[p + "ln2.b"], cfg.layer_norm_eps)
-    u = h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
-    g = gelu(u)
-    x_out = x1 + g @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+    u = _linear(h2, params[p + "ffn.w1"], params[p + "ffn.b1"])
+    g, t = gelu(u)
+    x_out = g @ params[p + "ffn.w2"]
+    x_out += x1
+    x_out += params[p + "ffn.b2"]
     return x_out, {"rows": rows, "h1": h1, "h1q": h1q, "ln1": ln1_cache, "q": q, "k": k,
-                   "v": v, "attn": attn, "ctx": ctx, "h2": h2, "ln2": ln2_cache, "u": u, "g": g}
+                   "v": v, "attn": attn, "ctx": ctx, "h2": h2, "ln2": ln2_cache, "u": u, "g": g,
+                   "tanh": t}
 
 
 def read_rows(positions: list[list[int]], length: int) -> np.ndarray:
@@ -320,7 +388,8 @@ def forward(ids: np.ndarray, valid: np.ndarray, params: Params, cfg: EncoderConf
 def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) -> Params:
     """Analytic gradients of every parameter but the masked-token head's
     (``mlm_head_backward`` gives those), in ``params`` order, given
-    d loss / d hidden at the rows ``forward`` returned."""
+    d loss / d hidden at the rows ``forward`` returned. Writes neither
+    ``d_hidden`` nor the cache, so it may run twice on one cache."""
     grads: Params = {}
     dx, grads["ln_f.g"], grads["ln_f.b"] = layer_norm_backward(
         d_hidden, cache["lnf"], params["ln_f.g"]
@@ -330,10 +399,10 @@ def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) ->
         p = f"layers.{i}."
         lay = cache["layers"][i]
         # x_out = x1 + gelu(h2 @ w1 + b1) @ w2 + b2
-        dg = dx @ params[p + "ffn.w2"].T
         grads[p + "ffn.w2"] = lay["g"].reshape(-1, cfg.ffn_size).T @ dx.reshape(-1, h)
         grads[p + "ffn.b2"] = dx.reshape(-1, h).sum(axis=0)
-        du = dg * gelu_grad(lay["u"])
+        du = dx @ params[p + "ffn.w2"].T
+        du *= gelu_grad(lay["u"], lay["tanh"])
         grads[p + "ffn.w1"] = lay["h2"].reshape(-1, h).T @ du.reshape(-1, cfg.ffn_size)
         grads[p + "ffn.b1"] = du.reshape(-1, cfg.ffn_size).sum(axis=0)
         dh2 = du @ params[p + "ffn.w1"].T
@@ -346,12 +415,13 @@ def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) ->
         grads[p + "attn.wo"] = lay["ctx"].reshape(-1, h).T @ dx1.reshape(-1, h)
         grads[p + "attn.bo"] = dx1.reshape(-1, h).sum(axis=0)
         dctx_h = _split_heads(dctx, cfg.num_heads)
-        dprobs = dctx_h @ lay["v"].swapaxes(-1, -2)
-        dv = lay["attn"].swapaxes(-1, -2) @ dctx_h
         probs = lay["attn"]
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dq = dscores @ lay["k"] * cache["scale"]
-        dk = dscores.swapaxes(-1, -2) @ lay["q"] * cache["scale"]
+        dv = probs.swapaxes(-1, -2) @ dctx_h
+        dscores = _softmax_backward(dctx_h @ lay["v"].swapaxes(-1, -2), probs)
+        dq = dscores @ lay["k"]
+        dq *= cache["scale"]
+        dk = dscores.swapaxes(-1, -2) @ lay["q"]
+        dk *= cache["scale"]
         # queries read h1 at the rows only; keys and values read all of it
         dh1 = np.zeros_like(lay["h1"])
         for name, dmat, h_in, rows in (("wq", dq, lay["h1q"], lay["rows"]),
@@ -367,8 +437,7 @@ def backward(d_hidden: np.ndarray, cache, params: Params, cfg: EncoderConfig) ->
         )
         _add_at(dx, lay["rows"], dx1)
     ids = cache["ids"]
-    grads["tok_emb"] = np.zeros_like(params["tok_emb"])
-    np.add.at(grads["tok_emb"], ids.reshape(-1), dx.reshape(-1, h))
+    grads["tok_emb"] = _embedding_grad(ids, dx, len(params["tok_emb"]))
     grads["pos_emb"] = np.zeros_like(params["pos_emb"])
     grads["pos_emb"][: ids.shape[1]] = dx.sum(axis=0)
     return {name: grads[name] for name in params if name in grads}

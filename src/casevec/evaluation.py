@@ -165,14 +165,11 @@ def rank(
         _pool_memo = (key, cand_units)
     query_unit = unit_rows(embed_texts([query.facts], params, enc_cfg, vocab, tok_cfg))[0][0]
     sims = cand_units @ query_unit
-    order = sorted(
-        range(len(pool.candidates)),
-        key=lambda i: (-sims[i], pool.candidates[i].case_id),
-    )
-    return RankedList(
-        query_id=query.query_id,
-        ranking=[(pool.candidates[i].case_id, float(sims[i])) for i in order],
-    )
+    # (-score, case_id) pairs: negation is exact, so -neg gives the score
+    # back, and the ids are distinct, so no two pairs compare equal
+    order = sorted(zip((-sims).tolist(), (c.case_id for c in pool.candidates)))
+    return RankedList(query_id=query.query_id,
+                      ranking=[(case_id, -neg) for neg, case_id in order])
 
 
 def ndcg_at_k(ranked: RankedList, qrels: QrelSet, k: int) -> float:

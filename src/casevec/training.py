@@ -118,13 +118,23 @@ class Adam:
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for name, g in grads.items():
-            # in place, with the bits of m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g
+            # in place, with the bits of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+            # and param -= lr * (m/b1c) / (sqrt(v/b2c) + eps)
             m, v = self.m[name], self.v[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            scratch = g * (1.0 - self.beta1)
+            m += scratch
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params[name] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=scratch)
+            scratch *= g
+            v += scratch
+            np.divide(v, b2c, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update = m / b1c
+            update *= self.lr
+            update /= scratch
+            params[name] -= update
 
 
 def clip_global_norm(grads: enc.Params, max_norm: float) -> float:

@@ -2,15 +2,19 @@
 
 Everything here is written directly from the mathematical definitions,
 with plain loops and scalar arithmetic, deliberately sharing no code with
-the package paths it checks. The one exception, ``bm25_scores``, is not an
-oracle: it calls the package's BM25 in the shape ``bm25_reference`` returns.
+the package paths it checks. Two exceptions: ``bm25_scores`` is not an
+oracle but calls the package's BM25 in the shape ``bm25_reference``
+returns, and the encoder kernels below keep the allocating numpy
+expressions the package's in-place kernels must match bit for bit.
 """
 
 import csv
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
+from casevec import encoder
 from casevec.bm25 import compute_profiles
 from casevec.relevance import CaseDocument
 from casevec.text import tokenize
@@ -249,6 +253,111 @@ def ndcg_reference(grades_in_rank_order, k):
     if denom == 0.0:
         return 0.0
     return dcg(grades_in_rank_order) / denom
+
+
+# ---------------------------------------------------------------------------
+# encoder kernels, one new array per expression, in the signatures of the
+# package's in-place kernels
+
+GELU_C = math.sqrt(2.0 / math.pi)
+GELU_K = 0.044715
+
+
+def layer_norm_reference(x, gain, bias, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return gain * xhat + bias, (xhat, inv)
+
+
+def layer_norm_backward_reference(dy, cache, gain):
+    xhat, inv = cache
+    dgain = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dbias = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dxhat = dy * gain
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dgain, dbias
+
+
+def _gelu_tanh_reference(x):
+    return np.tanh(GELU_C * (x + GELU_K * (x * x * x)))
+
+
+def gelu_reference(x):
+    """The activation and its tanh, as the package's ``gelu`` returns them."""
+    t = _gelu_tanh_reference(x)
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_grad_reference(x, t=None):
+    """Recomputes the tanh from ``x``; the one passed is ignored."""
+    t = _gelu_tanh_reference(x)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_K * x * x)
+
+
+def softmax_masked_reference(scores):
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward_reference(dprobs, probs):
+    return probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+
+
+def embedding_grad_reference(ids, dx, vocab_size):
+    grad = np.zeros((vocab_size, dx.shape[-1]))
+    np.add.at(grad, ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
+    return grad
+
+
+REFERENCE_KERNELS = {
+    "layer_norm": layer_norm_reference,
+    "layer_norm_backward": layer_norm_backward_reference,
+    "gelu": gelu_reference,
+    "gelu_grad": gelu_grad_reference,
+    "_softmax_masked": softmax_masked_reference,
+    "_softmax_backward": softmax_backward_reference,
+    "_embedding_grad": embedding_grad_reference,
+}
+
+
+@contextmanager
+def reference_kernels():
+    """Run ``casevec.encoder`` on the reference kernels within the block."""
+    saved = {name: getattr(encoder, name) for name in REFERENCE_KERNELS}
+    try:
+        for name, kernel in REFERENCE_KERNELS.items():
+            setattr(encoder, name, kernel)
+        yield
+    finally:
+        for name, kernel in saved.items():
+            setattr(encoder, name, kernel)
+
+
+def assert_bit_equal(got, want, where="result"):
+    """``got`` has the structure of ``want`` (dicts in the same key order,
+    lists, tuples), equal scalars, and arrays of the same shape, dtype and
+    bytes."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_bit_equal(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_bit_equal(g, w, f"{where}[{i}]")
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), where
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), where
+        assert got.tobytes() == want.tobytes(), where
+    else:
+        assert type(got) is type(want) and got == want, where
 
 
 def central_difference(f, arr, eps=1e-6):

@@ -6,6 +6,7 @@ either computed by an independent oracle from _helpers or frozen from a
 hand derivation shown inline.
 """
 
+import dataclasses
 import math
 import time
 
@@ -239,12 +240,18 @@ def test_criterion_6_gradient_checks():
     )
 
 
+TRAINING_SPEC = cv.SynthSpec(num_articles=3, branches_per_article=3, cases_per_branch=6,
+                             queries_per_branch=2, vocab_size=90, facts_keyword_rate=0.2,
+                             noise_rate=0.2, seed=77)
+# The same spec at other seeds: ``generate`` names the keyword tokens by
+# index, so these corpora share the articles and the vocabulary with the
+# training corpus, while every case and query in them is new.
+HELD_OUT_SEEDS = (78, 79, 80)
+
+
 @pytest.fixture(scope="module")
 def training_run():
-    spec = cv.SynthSpec(num_articles=3, branches_per_article=3, cases_per_branch=6,
-                        queries_per_branch=2, vocab_size=90, facts_keyword_rate=0.2,
-                        noise_rate=0.2, seed=77)
-    corpus = cv.generate(spec)
+    corpus = cv.generate(TRAINING_SPEC)
     articles = build_corpus(corpus.article_specs, TOK)
     index = build_index(articles, TOK)
     table = pairwise_weights(corpus.cases, compute_profiles(corpus.cases, articles, index))
@@ -282,11 +289,20 @@ def _mean_ndcg10(corpus, vocab, enc_cfg, params):
     return evaluate(runs, corpus.qrels, ks=(10,))["ndcg@10"]["mean"]
 
 
+def _unknown_tokens(corpus, vocab):
+    """(tokens outside ``vocab``, all tokens) of the candidate and query
+    texts ``rank`` encodes."""
+    texts = [candidate_text(c) for c in corpus.cases] + [q.facts for q in corpus.queries]
+    tokens = [tok for text in texts for tok in tokenize(text, TOK)]
+    return sum(tok not in vocab.index for tok in tokens), len(tokens)
+
+
 def test_criterion_7_end_to_end_training(training_run):
     """Seeded 300-step run on the synthetic corpus: total loss falls by at
     least 30 percent, the within-minus-between branch cosine gap widens,
     and zero-shot NDCG@10 on held-out queries beats the untrained
-    encoder."""
+    encoder, over the training corpus's candidates and over the
+    candidates of three corpora the encoder never saw."""
     corpus, vocab, enc_cfg, params, log, elapsed = training_run
     assert len(log.steps) <= 500
     assert elapsed < 15 * 60
@@ -302,10 +318,19 @@ def test_criterion_7_end_to_end_training(training_run):
     ndcg_before = _mean_ndcg10(corpus, vocab, enc_cfg, init)
     ndcg_after = _mean_ndcg10(corpus, vocab, enc_cfg, params)
     assert ndcg_after > ndcg_before
+
+    held_out = [cv.generate(dataclasses.replace(TRAINING_SPEC, seed=seed))
+                for seed in HELD_OUT_SEEDS]
+    held_before = np.mean([_mean_ndcg10(c, vocab, enc_cfg, init) for c in held_out])
+    held_after = np.mean([_mean_ndcg10(c, vocab, enc_cfg, params) for c in held_out])
+    assert held_after > held_before
+    unknown, tokens = np.sum([_unknown_tokens(c, vocab) for c in held_out], axis=0)
     record_acceptance(
         7,
         f"training: loss -{100 * (1 - last / first):.0f}%, gap {gap_before:.3f}->"
-        f"{gap_after:.3f}, ndcg@10 {ndcg_before:.3f}->{ndcg_after:.3f} ({elapsed:.0f}s)",
+        f"{gap_after:.3f}, ndcg@10 {ndcg_before:.3f}->{ndcg_after:.3f}, held-out seeds "
+        f"{HELD_OUT_SEEDS[0]}-{HELD_OUT_SEEDS[-1]} ndcg@10 {held_before:.3f}->{held_after:.3f} "
+        f"({unknown} of {tokens} tokens [UNK]) ({elapsed:.0f}s)",
     )
 
 

@@ -5,6 +5,7 @@ every parameter of a tiny configuration, driving both output heads (the
 masked-token logits and the first-position embedding).
 """
 
+import copy
 import json
 import math
 import tracemalloc
@@ -14,7 +15,8 @@ import pytest
 
 from casevec import encoder as enc
 
-from _helpers import max_relative_error
+import _helpers
+from _helpers import assert_bit_equal, max_relative_error, reference_kernels
 
 
 def tiny_config(**overrides):
@@ -28,12 +30,12 @@ GELU_C = math.sqrt(2.0 / math.pi)
 GELU_K = 0.044715
 
 
-def gelu_reference(x):
+def gelu_pow_reference(x):
     """tanh-GELU of Hendrycks & Gimpel (arXiv:1606.08415), cube through pow."""
     return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_K * x**3)))
 
 
-def gelu_grad_reference(x):
+def gelu_grad_pow_reference(x):
     t = np.tanh(GELU_C * (x + GELU_K * x**3))
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_K * x**2)
 
@@ -53,21 +55,25 @@ class TestGelu:
         scale = np.maximum(np.abs(expected), np.abs(x))
         assert np.all(np.abs(actual - expected) <= 1e-15 * scale)
 
+    @staticmethod
+    def grad(x):
+        return enc.gelu_grad(x, enc.gelu(x)[1])
+
     def test_gelu_matches_pow_reference(self):
         x = self.GRID
-        self.assert_within_a_few_ulp(enc.gelu(x), gelu_reference(x), x)
-        assert enc.gelu(np.array([0.0]))[0] == 0.0
-        assert enc.gelu(np.array([30.0]))[0] == 30.0
+        self.assert_within_a_few_ulp(enc.gelu(x)[0], gelu_pow_reference(x), x)
+        assert enc.gelu(np.array([0.0]))[0][0] == 0.0
+        assert enc.gelu(np.array([30.0]))[0][0] == 30.0
 
     def test_gelu_grad_matches_pow_reference(self):
         x = self.GRID
-        self.assert_within_a_few_ulp(enc.gelu_grad(x), gelu_grad_reference(x), x)
-        assert enc.gelu_grad(np.array([0.0]))[0] == 0.5
+        self.assert_within_a_few_ulp(self.grad(x), gelu_grad_pow_reference(x), x)
+        assert self.grad(np.array([0.0]))[0] == 0.5
 
     def test_gelu_grad_matches_finite_differences(self):
         x, h = self.GRID, 1e-5
-        numeric = (enc.gelu(x + h) - enc.gelu(x - h)) / (2 * h)
-        np.testing.assert_allclose(enc.gelu_grad(x), numeric, rtol=1e-7, atol=1e-9)
+        numeric = (enc.gelu(x + h)[0] - enc.gelu(x - h)[0]) / (2 * h)
+        np.testing.assert_allclose(self.grad(x), numeric, rtol=1e-7, atol=1e-9)
 
 
 class TestVocab:
@@ -495,6 +501,99 @@ class TestRestrictedRows:
         grads = masked_loss(params, cfg, *inputs, restricted=True)[1]
         assert_gradients_match_finite_differences(
             params, lambda: masked_loss(params, cfg, *inputs, restricted=True)[0], grads)
+
+
+class TestKernelsMatchReferences:
+    """Each in-place kernel against the allocating expressions it replaced
+    (``_helpers``), bit for bit, alone and inside ``forward`` and
+    ``backward``."""
+
+    def test_layer_norm_and_its_backward(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(0.0, 3.0, (3, 7, 16))
+        dy = rng.normal(0.0, 1.0, x.shape)
+        gain, bias = rng.normal(1.0, 0.5, 16), rng.normal(0.0, 0.5, 16)
+        # the second pair is strided, as the [CLS] rows ``encode`` normalizes
+        for x_in, dy_in in ((x, dy), (x[:, 0], dy[:, 0])):
+            out = enc.layer_norm(x_in, gain, bias, 1e-5)
+            assert_bit_equal(out, _helpers.layer_norm_reference(x_in, gain, bias, 1e-5))
+            assert_bit_equal(enc.layer_norm_backward(dy_in, out[1], gain),
+                             _helpers.layer_norm_backward_reference(dy_in, out[1], gain))
+
+    def test_gelu_and_its_grad(self):
+        x = TestGelu.GRID[:4008].reshape(3, 8, 167)
+        y, t = enc.gelu(x)
+        assert_bit_equal((y, t), _helpers.gelu_reference(x))
+        assert_bit_equal(enc.gelu_grad(x, t), _helpers.gelu_grad_reference(x))
+
+    @pytest.mark.parametrize("query_rows", [9, 3], ids=["every-row", "restricted-rows"])
+    def test_masked_softmax_and_its_backward(self, query_rows):
+        rng = np.random.default_rng(query_rows)
+        # the second sequence has one valid key: every other key is -inf
+        valid = np.arange(9) < np.array([9, 1, 4, 7])[:, None]
+        bias = np.where(valid[:, None, None, :], 0.0, -np.inf)
+        scores = rng.normal(0.0, 3.0, (4, 2, query_rows, 9)) + bias
+        probs = _helpers.softmax_masked_reference(scores)
+        assert_bit_equal(enc._softmax_masked(scores.copy()), probs)
+        assert np.all(probs[np.broadcast_to(~valid[:, None, None, :], probs.shape)] == 0.0)
+        dprobs = rng.normal(0.0, 1.0, probs.shape)
+        assert_bit_equal(enc._softmax_backward(dprobs.copy(), probs),
+                         _helpers.softmax_backward_reference(dprobs, probs))
+
+    def test_embedding_grad(self):
+        rng = np.random.default_rng(14)
+        ids = rng.integers(0, 6, (5, 8))  # 40 positions over six ids: every id repeats
+        dx = rng.normal(0.0, 1.0, (5, 8, 4))
+        assert_bit_equal(enc._embedding_grad(ids, dx, 9),
+                         _helpers.embedding_grad_reference(ids, dx, 9))
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["every-row", "read-rows"])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_forward_and_backward(self, num_layers, restricted):
+        params, cfg, inputs = TestRestrictedRows.random_case(num_layers)
+        got = masked_loss(params, cfg, *inputs, restricted=restricted)
+        with reference_kernels():
+            want = masked_loss(params, cfg, *inputs, restricted=restricted)
+        assert_bit_equal(got, want)
+
+
+class TestArgumentsStayUntouched:
+    """The in-place kernels write only arrays they allocate: no argument,
+    param or cached intermediate changes."""
+
+    def test_layer_norm_and_gelu(self):
+        rng = np.random.default_rng(15)
+        x, dy = rng.normal(0.0, 2.0, (2, 5, 8)), rng.normal(0.0, 1.0, (2, 5, 8))
+        gain, bias = rng.normal(1.0, 0.5, 8), rng.normal(0.0, 0.5, 8)
+        before = copy.deepcopy((x, dy, gain, bias))
+        _, cache = enc.layer_norm(x, gain, bias, 1e-5)
+        _, t = enc.gelu(x)
+        kept = copy.deepcopy((cache, t))
+        enc.layer_norm_backward(dy, cache, gain)
+        enc.gelu_grad(x, t)
+        assert_bit_equal((x, dy, gain, bias), before)
+        assert_bit_equal((cache, t), kept)
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["every-row", "read-rows"])
+    def test_forward_and_backward(self, restricted):
+        params, cfg, (ids, valid, positions, _, _) = TestRestrictedRows.random_case(2)
+        rows = enc.read_rows(positions, ids.shape[1]) if restricted else None
+        before = copy.deepcopy((params, ids, valid, rows))
+        hidden, cache = enc.forward(ids, valid, params, cfg, rows=rows)
+        assert_bit_equal((params, ids, valid, rows), before)
+        d_hidden = np.random.default_rng(16).normal(0.0, 1.0, hidden.shape)
+        before = copy.deepcopy((params, d_hidden, cache))
+        grads = enc.backward(d_hidden, cache, params, cfg)
+        assert_bit_equal((params, d_hidden, cache), before)
+        assert_bit_equal(enc.backward(d_hidden, cache, params, cfg), grads)
+
+    def test_encode(self):
+        cfg = TestEncode.config()
+        params = spread_params(cfg)
+        seqs = random_sequences(2 * enc.ENCODE_CHUNK + 1, cfg)
+        before = copy.deepcopy((params, seqs))
+        enc.encode(seqs, params, cfg)
+        assert_bit_equal((params, seqs), before)
 
 
 class TestParameterStore:

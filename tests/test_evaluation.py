@@ -234,6 +234,20 @@ class TestRank:
         b = rank(query, CandidatePool("q", candidates), params, cfg, vocab, TOK)
         assert a == b
 
+    def test_tied_scores_order_by_case_id_code_points(self):
+        """Two groups of four candidates with equal texts, so equal scores;
+        each group orders its non-ASCII ids by code point."""
+        query, _, params, cfg, vocab = self.make_pool()
+        near, far = "alpha beta gamma", "epsilon zeta eta"
+        pool = [CaseDocument(cid, facts=facts, holding="") for cid, facts in [
+            ("é", near), ("ß", far), ("Z", near), ("案例", far),
+            ("a", near), ("ö", far), ("Ä", near), ("z", far)]]
+        run = rank(query, CandidatePool("q", pool), params, cfg, vocab, TOK)
+        assert [cid for cid, _ in run.ranking] == ["Z", "a", "Ä", "é", "z", "ß", "ö", "案例"]
+        scores = [score for _, score in run.ranking]
+        assert len(set(scores[:4])) == len(set(scores[4:])) == 1
+        assert scores[0] > scores[4]
+
 
 def forward_embed_texts(texts, params, cfg, vocab, tok):
     """[CLS] rows of the training forward over one padded batch."""

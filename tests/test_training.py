@@ -1,5 +1,6 @@
 """Training loop: combination rule, determinism, resume, divergence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from casevec.training import (
     train,
 )
 
+from _helpers import assert_bit_equal, reference_kernels
 
 TOK = TokenizerConfig()
 
@@ -72,6 +74,24 @@ class TestTrainLoop:
             assert r1.mlm_loss == r2.mlm_loss
             assert r1.circle_loss == r2.circle_loss
             assert r1.grad_norm == r2.grad_norm
+
+    def test_reference_kernels_train_and_encode_to_the_same_bits(self):
+        """Three steps of a two-layer encoder and the trained embeddings,
+        on the package's in-place kernels and on the allocating ones in
+        ``_helpers``."""
+        corpus, table, vocab, enc_cfg = make_setup()
+        enc_cfg = dataclasses.replace(enc_cfg, num_layers=2)
+        seqs = [enc.build_input_ids(tokenize(c.facts, TOK), vocab, enc_cfg) for c in corpus.cases]
+
+        def trained():
+            params, log = run(3, corpus, table, vocab, enc_cfg, hp=CircleLossParams(mix=1.0))
+            losses = [(r.mlm_loss, r.circle_loss, r.total_loss, r.grad_norm) for r in log.steps]
+            return params, losses, enc.encode(seqs, params, enc_cfg)
+
+        got = trained()
+        with reference_kernels():
+            want = trained()
+        assert_bit_equal(got, want)
 
     def test_log_records_finite_monotone_steps(self):
         corpus, table, vocab, enc_cfg = make_setup()
