@@ -121,16 +121,52 @@ _WEIGHT_CSV_HEADER = ["source_id", "target_id", "value"]
 _BLOCK_ROWS = 2048  # rows parsed at a time, which bounds the row objects alive at once
 
 
+@dataclass(frozen=True, eq=False)
+class PositiveIndex:
+    """Every case's positives at one floor, over table positions: row i's
+    positives are ``targets[indptr[i]:indptr[i + 1]]`` in table order, with
+    their weights at the same slice of ``weights``; ``anchors`` are the rows
+    that have one. Every array is read-only."""
+
+    anchors: np.ndarray
+    indptr: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The positions and weights of row ``i``'s positives, as views."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.targets[lo:hi], self.weights[lo:hi]
+
+
 class WeightTable:
     """Relevance weights for all ordered case pairs, with CSV round-trip.
-    Other modules read weights only through its methods, never the matrix."""
+    Other modules read weights only through its methods, never the matrix.
+
+    The matrix must hold weights in [0, 1]; the table makes it read-only,
+    so the positive index it keeps per floor always matches it."""
 
     def __init__(self, ids: list[str], matrix: np.ndarray):
         if matrix.shape != (len(ids), len(ids)):
             raise RelevanceError("weight matrix shape does not match the id list")
+        if matrix.size:
+            lo, hi = float(matrix.min()), float(matrix.max())
+            if not (0.0 <= lo and hi <= 1.0):  # NaN fails both comparisons
+                raise RelevanceError(
+                    f"weight matrix holds a value outside [0, 1] (min {lo!r}, max {hi!r})"
+                )
+        matrix.flags.writeable = False
         self.ids = list(ids)
         self.matrix = matrix
         self._pos = {cid: i for i, cid in enumerate(self.ids)}
+        self._indexes: dict[float, PositiveIndex] = {}
+
+    def __contains__(self, case_id: str) -> bool:
+        return case_id in self._pos
+
+    def position(self, case_id: str) -> int:
+        """The case's position in ``ids``; an unknown id raises KeyError."""
+        return self._pos[case_id]
 
     def get(self, source_id: str, target_id: str) -> float:
         return float(self.matrix[self._pos[source_id], self._pos[target_id]])
@@ -140,20 +176,36 @@ class WeightTable:
         pos = [self._pos[cid] for cid in ids]
         return self.matrix[np.ix_(pos, pos)]
 
+    def positive_index(self, floor: float) -> PositiveIndex:
+        """The positives of every case at ``floor``: each other case whose
+        weight from it is at least ``floor``. Built in one pass over the
+        matrix on the floor's first use, then kept with the table."""
+        index = self._indexes.get(floor)
+        if index is None:
+            n = len(self.ids)
+            eligible = self.matrix >= floor
+            np.fill_diagonal(eligible, False)
+            counts = np.count_nonzero(eligible, axis=1)
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(counts, out=indptr[1:])
+            # flat positions are row-major, so each row's targets come in
+            # table order; one flat pass is ~5× faster than np.nonzero's two
+            targets = np.flatnonzero(eligible) % n
+            index = PositiveIndex(np.flatnonzero(counts), indptr, targets, self.matrix[eligible])
+            for array in (index.anchors, index.indptr, index.targets, index.weights):
+                array.flags.writeable = False
+            self._indexes[floor] = index
+        return index
+
     def positives(self, anchor_id: str, floor: float) -> tuple[list[str], np.ndarray]:
         """The ids whose weight from the anchor is at least ``floor``, the
-        anchor excluded, in table order, with those weights."""
-        i = self._pos[anchor_id]
-        eligible = self.matrix[i] >= floor
-        eligible[i] = False
-        cand = np.flatnonzero(eligible)
-        return [self.ids[j] for j in cand], self.matrix[i, cand]
+        anchor excluded, in table order, with a copy of those weights."""
+        targets, weights = self.positive_index(floor).row(self._pos[anchor_id])
+        return [self.ids[j] for j in targets.tolist()], weights.copy()
 
     def anchors(self, floor: float) -> list[str]:
         """The ids, in table order, that have at least one positive at ``floor``."""
-        eligible = self.matrix >= floor
-        np.fill_diagonal(eligible, False)
-        return [self.ids[i] for i in np.flatnonzero(eligible.any(axis=1))]
+        return [self.ids[i] for i in self.positive_index(floor).anchors.tolist()]
 
     def to_csv(self, path: str) -> None:
         """Write a header, then one ``source_id,target_id,value`` row per

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relevance import WeightTable
+from .relevance import PositiveIndex, WeightTable
 
 DEFAULT_POSITIVE_FLOOR = 0.5
 DEFAULT_CLASS_THRESHOLD = 0.25
@@ -62,17 +62,33 @@ def sample_positive(
     already used in the batch. Candidates keep the order of ``table.ids``,
     so the draw is deterministic for a given generator state.
     """
-    cand, weights = table.positives(anchor_id, floor)
-    if exclude:
-        keep = [j for j, cid in enumerate(cand) if cid not in exclude]
-        cand, weights = [cand[j] for j in keep], weights[keep]
-    if not cand:
+    i = table.position(anchor_id)
+    used = np.zeros(len(table.ids), dtype=bool)
+    used[[table.position(cid) for cid in exclude or () if cid in table]] = True
+    j, w = _draw_positive(table.positive_index(floor), i, anchor_id, used, rng)
+    return table.ids[j], w
+
+
+def _draw_positive(
+    index: PositiveIndex, i: int, anchor_id: str, used: np.ndarray, rng: np.random.Generator
+) -> tuple[int, float]:
+    """The position and weight of a positive of row ``i`` that ``used`` does
+    not mark, drawn in proportion to weight with the generator calls of
+    ``rng.choice(k, p=weights / weights.sum())`` over the k candidates."""
+    targets, weights = index.row(i)
+    free = ~used[targets]
+    targets, weights = targets[free], weights[free]
+    if not len(targets):
         raise NoPositiveAvailable(f"no positive available for anchor {anchor_id!r}")
     total = weights.sum()
     if total <= 0.0:
         raise NoPositiveAvailable(f"all candidate weights are zero for anchor {anchor_id!r}")
-    pick = int(rng.choice(len(cand), p=weights / total))
-    return cand[pick], float(weights[pick])
+    # numpy's own steps for that call, without its checks of p, which
+    # weights in [0, 1] with a positive sum always pass
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    pick = int(cdf.searchsorted(rng.random(), side="right"))
+    return int(targets[pick]), float(weights[pick])
 
 
 def sample_quadruples(
@@ -93,21 +109,24 @@ def sample_quadruples(
         raise SamplingError(f"need at least one quadruple, got n={n}")
     if not math.isfinite(floor):
         raise SamplingError(f"positive_floor must be finite, got {floor}")
-    pool = table.anchors(floor)
+    index = table.positive_index(floor)
+    pool = index.anchors
     if len(pool) < n:
         raise SamplingError(
             f"only {len(pool)} cases have an eligible positive; cannot draw {n} anchors"
         )
+    ids = table.ids
     last_error: NoPositiveAvailable | None = None
     for _ in range(MAX_BATCH_TRIES):
-        anchors = [pool[i] for i in rng.choice(len(pool), size=n, replace=False)]
-        used = set(anchors)
+        anchors = pool[rng.choice(len(pool), size=n, replace=False)].tolist()
+        used = np.zeros(len(ids), dtype=bool)
+        used[anchors] = True
         quads = []
         try:
-            for anchor in anchors:
-                positive, w = sample_positive(anchor, table, rng, floor, exclude=used)
-                used.add(positive)
-                quads.append(Quadruple(anchor_id=anchor, positive_id=positive, weight=w))
+            for i in anchors:
+                j, w = _draw_positive(index, i, ids[i], used, rng)
+                used[j] = True
+                quads.append(Quadruple(anchor_id=ids[i], positive_id=ids[j], weight=w))
         except NoPositiveAvailable as exc:
             last_error = exc
             continue

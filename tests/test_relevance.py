@@ -555,6 +555,69 @@ class TestWeightTableAccessors:
             assert loaded.matrix.tobytes() == table.matrix.tobytes()
 
 
+class TestWeightTableChecks:
+    """The table holds weights in [0, 1] and keeps them from changing."""
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5, np.nan, -np.inf])
+    def test_weight_outside_unit_interval_rejected(self, bad):
+        matrix = np.full((3, 3), 0.5)
+        matrix[1, 2] = bad
+        with pytest.raises(RelevanceError, match=r"weight matrix holds a value outside \[0, 1\]"):
+            WeightTable(["a", "b", "c"], matrix)
+
+    def test_all_negative_weights_rejected(self):
+        """Such weights would normalize to a positive p and be drawn."""
+        with pytest.raises(RelevanceError) as excinfo:
+            WeightTable(["a", "b"], np.full((2, 2), -0.5))
+        assert str(excinfo.value) == (
+            "weight matrix holds a value outside [0, 1] (min -0.5, max -0.5)"
+        )
+
+    def test_matrix_is_read_only(self):
+        table = random_table(0)
+        with pytest.raises(ValueError, match="read-only"):
+            table.matrix[0, 0] = 0.5
+        assert table.get(table.ids[0], table.ids[0]) == random_table(0).get(
+            table.ids[0], table.ids[0])
+
+
+class TestPositiveIndex:
+    """The per-floor index behind ``positives``, ``anchors`` and sampling."""
+
+    def test_built_once_per_floor(self):
+        table = random_table(1)
+        index = table.positive_index(0.5)
+        table.positives(table.ids[0], 0.5)
+        table.anchors(0.5)
+        sample_quadruples(table, 1, np.random.default_rng(0), floor=0.5)
+        again = table.positive_index(0.5)
+        assert again is index
+        for name in ("anchors", "indptr", "targets", "weights"):
+            assert getattr(again, name) is getattr(index, name)
+            assert not getattr(index, name).flags.writeable
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_floors_keep_two_indexes(self, seed):
+        table = random_table(seed)
+        low, high = table.positive_index(0.3), table.positive_index(0.7)
+        assert low is not high
+        assert table.positive_index(0.3) is low and table.positive_index(0.7) is high
+        for floor, index in ((0.3, low), (0.7, high)):
+            for i, anchor in enumerate(table.ids):
+                targets, weights = index.row(i)
+                expected = [(j, table.get(anchor, other)) for j, other in enumerate(table.ids)
+                            if j != i and table.get(anchor, other) >= floor]
+                assert list(zip(targets.tolist(), weights.tolist())) == expected
+            assert [table.ids[i] for i in index.anchors] == table.anchors(floor)
+
+    def test_positions(self):
+        table = WeightTable(["z", "a", "m"], np.full((3, 3), 0.9))
+        assert [table.position(cid) for cid in ("z", "a", "m")] == [0, 1, 2]
+        assert "a" in table and "nope" not in table
+        with pytest.raises(KeyError):
+            table.position("nope")
+
+
 def test_only_relevance_reads_the_weight_matrix():
     """The weight table's storage stays behind ``WeightTable``'s methods:
     no other package module touches an attribute named ``matrix``."""

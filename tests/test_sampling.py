@@ -85,6 +85,83 @@ class TestSamplePositive:
             sample_positive("c0", table, np.random.default_rng(0), exclude={"c1", "c2", "c3", "zz"})
 
 
+def weight_vectors(count, seed):
+    """Candidate weights in [0, 1] with a positive sum: uniform, skewed,
+    all equal, with zeros, holding 1e-300, and single candidates."""
+    rng = np.random.default_rng(seed)
+    vectors = []
+    for k in range(count):
+        size = int(rng.integers(1, 40))
+        kind = k % 6
+        if kind == 0:
+            w = rng.uniform(0.0, 1.0, size)
+        elif kind == 1:
+            w = rng.uniform(0.0, 1.0, size) ** 12
+        elif kind == 2:
+            w = np.full(size, rng.uniform(1e-3, 1.0))
+        elif kind == 3:
+            w = rng.uniform(0.0, 1.0, size) * (rng.random(size) < 0.5)
+        elif kind == 4:
+            w = np.where(rng.random(size) < 0.5, 1e-300, rng.uniform(0.0, 1.0, size))
+        else:
+            w = rng.uniform(0.0, 1.0, 1)
+        if not w.sum() > 0.0:
+            w[-1] = 1e-300
+        vectors.append(w)
+    return vectors
+
+
+class TestDrawPinnedToChoice:
+    def test_draw_equals_rng_choice(self):
+        """A positive is drawn with the generator calls of
+        ``rng.choice(k, p=weights / weights.sum())``: same pick, same state
+        after, over 12,000 weight vectors."""
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        vectors = weight_vectors(12_000, 5)
+        assert any(len(w) == 1 for w in vectors)
+        assert any((w == 1e-300).all() for w in vectors)
+        for weights in vectors:
+            k = len(weights)
+            matrix = np.zeros((k + 1, k + 1))
+            matrix[0, 1:] = weights
+            got = sample_positive("c0", table_of(matrix), rng, floor=0.0)
+            pick = int(twin.choice(k, p=weights / weights.sum()))
+            assert got == (f"c{pick + 1}", float(weights[pick]))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_draw_on_a_cumulative_weight_takes_the_next_candidate(self):
+        """A uniform draw equal to the first candidate's share picks the
+        second, as ``choice``'s search from the right does."""
+        hits = 0
+        for seed in range(20):
+            u = np.random.default_rng(seed).random()
+            weights = np.array([u, 1.0 - u])
+            if weights.sum() != 1.0:  # the share would not be u exactly
+                continue
+            hits += 1
+            matrix = np.zeros((3, 3))
+            matrix[0, 1:] = weights
+            got = sample_positive("c0", table_of(matrix), np.random.default_rng(seed), floor=0.0)
+            assert got == ("c2", 1.0 - u)
+            twin = np.random.default_rng(seed)
+            assert int(twin.choice(2, p=weights)) == 1
+        assert hits >= 10
+
+    def test_returned_weights_are_a_copy(self):
+        """Writing into the weights ``positives`` returns changes no draw."""
+        rng = np.random.default_rng(4)
+        matrix = rng.uniform(0.0, 1.0, (10, 10))
+        table, twin = table_of(matrix), table_of(matrix.copy())
+        for anchor in table.ids:
+            table.positives(anchor, 0.3)[1][:] = 0.0
+        for seed in range(10):
+            assert (sample_quadruples(table, 3, np.random.default_rng(seed), floor=0.3)
+                    == sample_quadruples(twin, 3, np.random.default_rng(seed), floor=0.3))
+            assert (sample_positive("c0", table, np.random.default_rng(seed), 0.3, {"c1"})
+                    == sample_positive("c0", twin, np.random.default_rng(seed), 0.3, {"c1"}))
+        assert table.positives("c0", 0.3)[1].tolist() == twin.positives("c0", 0.3)[1].tolist()
+
+
 def quad(a, p, w=1.0):
     return Quadruple(anchor_id=a, positive_id=p, weight=w)
 
