@@ -1,17 +1,16 @@
 """Command-line pipeline driver.
 
 Subcommands cover the full flow: gen-corpus, expand-articles, weights,
-sample, pretrain, encode, rank, evaluate, export-embeddings. Option
-precedence is CLI flag over --config file over built-in default, and the
-effective configuration is echoed next to each command's output for
-provenance. All randomness is governed by --seed; outputs carry no
-timestamps, so identical inputs and seed give identical bytes.
+sample, pretrain, rank, evaluate, export-embeddings. Option precedence
+is CLI flag over --config file over built-in default, and the effective
+configuration is echoed next to each command's output for provenance.
+All randomness is governed by --seed; outputs carry no timestamps, so
+identical inputs and seed give identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -27,8 +26,6 @@ from .circle_loss import CircleLossParams
 from .evaluation import (
     CandidatePool,
     QrelSet,
-    candidate_text,
-    embed_texts,
     evaluate,
     export_embeddings,
     load_queries,
@@ -37,7 +34,7 @@ from .evaluation import (
     save_metrics,
     save_run,
 )
-from .files import decode_error, open_output, write_json_lines, write_rows
+from .files import decode_error, open_output, write_json_lines
 from .relevance import WeightTable, load_cases, load_citing_cases, pairwise_weights
 from .sampling import build_batch, class_partition, sample_quadruples
 from .synth import SynthSpec, generate, load_labels, write_corpus
@@ -353,20 +350,6 @@ def _load_encoder(args):
     return params, enc_cfg, vocab
 
 
-def _cmd_encode(args) -> int:
-    opts = _effective(args)
-    params, enc_cfg, vocab = _load_encoder(args)
-    cases = load_cases(args.cases)
-    embeddings = embed_texts([candidate_text(c) for c in cases], params, enc_cfg, vocab,
-                             _build(TokenizerConfig, args, opts))
-    write_rows(args.out, itertools.chain(
-        [["case_id"] + [f"dim{i}" for i in range(enc_cfg.hidden_size)]],
-        ([case.case_id] + [repr(float(x)) for x in row] for case, row in zip(cases, embeddings))))
-    _echo_config("encode", opts, args.out)
-    print(f"encoded {len(cases)} cases into {args.out}")
-    return 0
-
-
 def _cmd_rank(args) -> int:
     opts = _effective(args)
     params, enc_cfg, vocab = _load_encoder(args)
@@ -457,13 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--resume", default=None, help="resume from a training checkpoint")
     _register(p, _PRETRAIN_OPTS)
-
-    p = command("encode", _cmd_encode, "write raw case embeddings as CSV")
-    p.add_argument("--checkpoint", required=True, help="encoder params file")
-    p.add_argument("--vocab", required=True, help="vocabulary file")
-    p.add_argument("--cases", required=True, help="case JSONL file")
-    p.add_argument("--out", required=True, help="embedding CSV output")
-    _register(p, _TOKENIZER_OPTS)
 
     p = command("rank", _cmd_rank, "rank candidates for each query by embedding cosine")
     p.add_argument("--checkpoint", required=True, help="encoder params file")

@@ -111,9 +111,6 @@ class EncoderConfig:
         if self.vocab_size < len(SPECIAL_TOKENS):
             raise EncoderError("vocab_size must cover the special tokens")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 INIT_STD = 0.02
 
@@ -669,7 +666,7 @@ def check_layout(path: str, arrays: dict[str, np.ndarray], expected: dict[str, n
 
 
 def save_params(path: str, params: Params, cfg: EncoderConfig) -> None:
-    save_arrays(path, params, {"kind": "encoder-params", "version": 1, "config": cfg.to_json()})
+    save_arrays(path, params, {"kind": "encoder-params", "version": 1, "config": asdict(cfg)})
 
 
 def load_params(path: str) -> tuple[Params, EncoderConfig]:

@@ -46,7 +46,6 @@ class BatchPartition:
 
     case_ids: list[str]
     labels: list[int]
-    threshold: float
 
 
 def sample_positive(
@@ -172,4 +171,4 @@ def class_partition(
             break
         roots = lowest
     labels = np.unique(roots, return_inverse=True)[1]
-    return BatchPartition(case_ids=list(batch_ids), labels=labels.tolist(), threshold=threshold)
+    return BatchPartition(case_ids=list(batch_ids), labels=labels.tolist())

@@ -69,6 +69,8 @@ class TrainConfig:
             raise TrainingError("batch_quadruples must be at least 1")
         if self.learning_rate <= 0:
             raise TrainingError("learning_rate must be positive")
+        if self.grad_clip < 0:
+            raise TrainingError(f"grad_clip must not be negative, got {self.grad_clip}")
         if self.checkpoint_every < 0:
             raise TrainingError(
                 f"checkpoint_every must not be negative, got {self.checkpoint_every}")
@@ -164,7 +166,7 @@ def save_checkpoint(path, params, opt: Adam, step: int, enc_cfg, train_cfg, hp) 
         "kind": "train-checkpoint",
         "version": 1,
         "step": step,
-        "config": enc_cfg.to_json(),
+        "config": asdict(enc_cfg),
         "train_config": asdict(train_cfg),
         "circle_loss": asdict(hp),
     }

@@ -161,7 +161,7 @@ def test_criterion_5_reduction_to_circle_loss():
         labels = rng.integers(0, 3, n).tolist()
         ids = [f"c{i}" for i in range(n)]
         table = WeightTable(ids, np.ones((n, n)))
-        partition = BatchPartition(ids, labels, hp.class_threshold)
+        partition = BatchPartition(ids, labels)
         got = loss_gradient(embeddings, partition, table, hp)[0]
         terms = []
         for a in range(n):
@@ -189,7 +189,7 @@ def test_criterion_6_gradient_checks():
     embeddings = rng.normal(0.0, 1.0, (6, 8))
     ids = [f"c{i}" for i in range(6)]
     table = WeightTable(ids, np.clip(rng.uniform(0.3, 1.0, (6, 6)), 0, 1))
-    partition = BatchPartition(ids, [0, 0, 1, 1, 2, 2], hp.class_threshold)
+    partition = BatchPartition(ids, [0, 0, 1, 1, 2, 2])
     _, grad = loss_gradient(embeddings, partition, table, hp)
     numeric = central_difference(
         lambda: loss_gradient(embeddings, partition, table, hp)[0],

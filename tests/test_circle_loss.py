@@ -40,7 +40,7 @@ def make_instance(n, h, labels, seed, weight_low=0.3):
     matrix = rng.uniform(weight_low, 1.0, (n, n))
     np.fill_diagonal(matrix, 1.0)
     table = WeightTable(ids, matrix)
-    partition = BatchPartition(ids, list(labels), HP.class_threshold)
+    partition = BatchPartition(ids, list(labels))
     return embeddings, partition, table
 
 

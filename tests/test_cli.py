@@ -71,11 +71,11 @@ class TestPipeline:
         assert set(loaded) == {"ndcg@5", "ndcg@10"}
 
         emb = tmp_path / "emb.csv"
-        assert run_cli("encode", "--checkpoint", str(run_dir / "encoder.params"),
+        assert run_cli("export-embeddings", "--checkpoint", str(run_dir / "encoder.params"),
                        "--vocab", str(run_dir / "vocab.txt"),
                        "--cases", str(corpus_dir / "cases.jsonl"), "--out", str(emb)) == 0
         header = emb.read_text().splitlines()[0]
-        assert header.startswith("case_id,dim0")
+        assert header.startswith("case_id,label,dim0")
 
         emb2d = tmp_path / "emb2d.csv"
         assert run_cli("export-embeddings", "--checkpoint", str(run_dir / "encoder.params"),
@@ -281,6 +281,7 @@ class TestPretrainSettings:
         ("--class-threshold", "inf", "class_threshold must be finite, got inf"),
         ("--learning-rate", "nan", "learning_rate must be finite, got nan"),
         ("--grad-clip", "nan", "grad_clip must be finite, got nan"),
+        ("--grad-clip", "-1", "grad_clip must not be negative, got -1.0"),
         ("--positive-floor", "inf", "positive_floor must be finite, got inf"),
         ("--mask-rate", "3", "mask_rate must be in [0, 1], got 3.0"),
         ("--mask-rate", "-0.1", "mask_rate must be in [0, 1], got -0.1"),
@@ -397,11 +398,10 @@ class TestEmptyInputs:
         (["weights", "--articles", "ARTICLES", "--cases", "EMPTY"], "holds no case"),
         (["pretrain", "--articles", "ARTICLES", "--cases", "EMPTY", *PRETRAIN_SMALL],
          "holds no case"),
-        (["encode", *MODEL, "--cases", "EMPTY"], "holds no case"),
         (["export-embeddings", *MODEL, "--cases", "EMPTY"], "holds no case"),
         (["rank", *MODEL, "--queries", "QUERIES", "--cases", "EMPTY"], "holds no case"),
         (["rank", *MODEL, "--queries", "EMPTY", "--cases", "CASES"], "holds no query"),
-    ], ids=["weights", "pretrain", "encode", "export-embeddings", "rank-cases", "rank-queries"])
+    ], ids=["weights", "pretrain", "export-embeddings", "rank-cases", "rank-queries"])
     def test_empty_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, message):
         model = tmp_path / "run"
         if "PARAMS" in argv:
@@ -463,7 +463,7 @@ class TestMalformedFiles:
         (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
          lambda d: _first_case_with(d, facts=5),
          ":1: case_id, facts, holding and decision must be strings"),
-        (["encode", *MODEL, "--cases", "BAD"],
+        (["export-embeddings", *MODEL, "--cases", "BAD"],
          lambda d: _cases_text(d, lambda ls: ls[:2] + ls[:1]),
          f":3: case_id '{FIRST_CASE}' repeats line 1"),
         (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
@@ -494,10 +494,10 @@ class TestMalformedFiles:
          lambda d: '{"query_id": "q", "facts": ""}\n', ":1: query 'q': facts must be nonempty"),
         (["evaluate", "--run", "RUN", "--qrels", "QRELS", "--ks", "10,x"],
          lambda d: "", "--ks must be comma-separated integers, got '10,x'"),
-        (["encode", "--checkpoint", "BAD", "--vocab", "VOCAB", "--cases", "CASES"],
+        (["export-embeddings", "--checkpoint", "BAD", "--vocab", "VOCAB", "--cases", "CASES"],
          lambda d: _damaged_params(d, lambda a: a.pop("ln_f.g")),
          ": array 'ln_f.g' is missing"),
-        (["encode", "--checkpoint", "BAD", "--vocab", "VOCAB", "--cases", "CASES"],
+        (["export-embeddings", "--checkpoint", "BAD", "--vocab", "VOCAB", "--cases", "CASES"],
          lambda d: _damaged_params(d, lambda a: a.update(tok_emb=a["tok_emb"][:-3])),
          ": array 'tok_emb' is float64 (47, 16), expected float64 (50, 16)"),
         (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
@@ -532,13 +532,13 @@ class TestMalformedFiles:
         (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
          lambda d: _cases_text(d, lambda ls: ls[:1] + [_with(ls[1], case_id="cr\rlf")]),
          ":2: case_id 'cr\\rlf' holds a carriage return without a line feed"),
-        (["encode", *MODEL, "--cases", "BAD"],
+        (["export-embeddings", *MODEL, "--cases", "BAD"],
          lambda d: _first_case_with(d, case_id="end\r"),
          ":1: case_id 'end\\r' holds a carriage return without a line feed"),
         (["rank", *MODEL, "--queries", "BAD", "--cases", "CASES"],
          lambda d: '{"query_id": "q", "facts": "a"}\n{"query_id": "r", "facts": "b"}\n'
                    '{"query_id": "q", "facts": "c"}\n', ":3: query_id 'q' repeats line 1"),
-        (["encode", "--checkpoint", "PARAMS", "--vocab", "BAD", "--cases", "CASES"],
+        (["export-embeddings", "--checkpoint", "PARAMS", "--vocab", "BAD", "--cases", "CASES"],
          lambda d: (d.parent / "run" / "vocab.txt").read_text() + "[MASK]\n",
          ":51: token '[MASK]' repeats line 5"),
         (["rank", "--checkpoint", "PARAMS", "--vocab", "BAD", "--queries", "QUERIES",
@@ -547,13 +547,13 @@ class TestMalformedFiles:
         (["evaluate", "--run", "RUN", "--qrels", "BAD"],
          lambda d: b"q\tc\t1\nq\t\xffd\t2\n",
          ":2: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
-        (["encode", *MODEL, "--cases", "BAD"],
+        (["export-embeddings", *MODEL, "--cases", "BAD"],
          lambda d: _cases_text(d, lambda ls: ls[:2]).encode() + b'{"case_id": "\xff"}\n',
          ":3: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
         (["weights", "--articles", "BAD", "--cases", "CASES"],
          lambda d: b'{\n  "articles": [\xff]\n}\n',
          ":2: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
-        (["encode", "--checkpoint", "PARAMS", "--vocab", "BAD", "--cases", "CASES"],
+        (["export-embeddings", "--checkpoint", "PARAMS", "--vocab", "BAD", "--cases", "CASES"],
          lambda d: (d.parent / "run" / "vocab.txt").read_bytes() + b"\xfe\n",
          ":51: 'utf-8' codec can't decode byte 0xfe in position 0: invalid start byte"),
         (["sample", "--weights", "BAD"],
@@ -602,12 +602,13 @@ class TestMalformedFiles:
         assert not out.exists()
 
     def test_candidates_may_cite_no_article(self, tmp_path, corpus_dir):
-        """Only a weight table needs articles: ``encode`` takes a case
-        without one."""
+        """Only a weight table needs articles: ``export-embeddings`` takes a
+        case without one."""
         assert pretrain(corpus_dir, tmp_path / "run", "--steps", "1") == 0
         cases = tmp_path / "cases.jsonl"
         cases.write_text(_first_case_with(corpus_dir, articles=[]))
-        assert run_cli("encode", "--checkpoint", str(tmp_path / "run" / "encoder.params"),
+        assert run_cli("export-embeddings",
+                       "--checkpoint", str(tmp_path / "run" / "encoder.params"),
                        "--vocab", str(tmp_path / "run" / "vocab.txt"), "--cases", str(cases),
                        "--out", str(tmp_path / "emb.csv")) == 0
 
@@ -731,7 +732,7 @@ class TestResume:
         arrays, meta = load_arrays(str(params))
         meta["config"]["dropout"] = 0.1
         save_arrays(str(params), arrays, meta)
-        code = run_cli("encode", "--checkpoint", str(params),
+        code = run_cli("export-embeddings", "--checkpoint", str(params),
                        "--vocab", str(tmp_path / "run" / "vocab.txt"),
                        "--cases", str(corpus_dir / "cases.jsonl"),
                        "--out", str(tmp_path / "emb.csv"))
@@ -755,7 +756,7 @@ class TestResume:
                                                                ckpt, capsys):
         params = tmp_path / "run" / "encoder.params"
         save_arrays(str(params), load_arrays(str(params))[0], [1])
-        code = run_cli("encode", "--checkpoint", str(params),
+        code = run_cli("export-embeddings", "--checkpoint", str(params),
                        "--vocab", str(tmp_path / "run" / "vocab.txt"),
                        "--cases", str(corpus_dir / "cases.jsonl"),
                        "--out", str(tmp_path / "emb.csv"))
@@ -786,7 +787,8 @@ class TestErrorsAndHelp:
     def test_every_subcommand_help_lists_defaults(self, capsys):
         parser = build_parser()
         subcommands = ["gen-corpus", "expand-articles", "weights", "sample", "pretrain",
-                       "encode", "rank", "evaluate", "export-embeddings"]
+                       "rank", "evaluate", "export-embeddings"]
+        assert list(next(a.choices for a in parser._actions if a.dest == "command")) == subcommands
         for name in subcommands:
             with pytest.raises(SystemExit):
                 parser.parse_args([name, "--help"])

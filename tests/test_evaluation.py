@@ -448,15 +448,21 @@ class TestExportEmbeddings:
         return cases, params, cfg, vocab
 
     def test_raw_export_shape(self, tmp_path):
+        """A raw export writes a header, then per case its id, its articles
+        joined with '|' (empty for a case that cites none) and ``repr`` of
+        each ``embed_texts`` value, so no digit of the vector is lost."""
         cases, params, cfg, vocab = self.make_cases()
+        cases[1] = dataclasses.replace(cases[1], articles=frozenset())
+        cases[2] = dataclasses.replace(cases[2], articles=frozenset({"art-b", "art-a"}))
         path = tmp_path / "emb.csv"
         export_embeddings(cases, params, cfg, vocab, TOK, str(path))
+        embeddings = embed_texts([candidate_text(c) for c in cases], params, cfg, vocab, TOK)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["case_id", "label"] + [f"dim{i}" for i in range(cfg.hidden_size)]
-        assert len(rows) == 6
-        assert rows[1][1] == "art-a"
-        assert len(rows[1]) == 2 + cfg.hidden_size
+        assert [row[:2] for row in rows[1:]] == [
+            ["c0", "art-a"], ["c1", ""], ["c2", "art-a|art-b"], ["c3", "art-a"], ["c4", "art-a"]]
+        assert [row[2:] for row in rows[1:]] == [[repr(float(x)) for x in e] for e in embeddings]
 
     def test_pca_export_columns(self, tmp_path):
         cases, params, cfg, vocab = self.make_cases()
