@@ -1,4 +1,4 @@
-"""Time ``sample_quadruples`` as the corpus grows.
+"""Time the weight table and ``sample_quadruples`` as the corpus grows.
 
 Run from the repository root, with the package on the path:
 
@@ -7,16 +7,21 @@ Run from the repository root, with the package on the path:
 Each argument is a ``cases_per_branch`` for a corpus of 4 articles with 4
 branches each (N = 16 × cases_per_branch cases; 60, 300 and 625 give 960,
 4800 and 10⁴). For each size the script builds the weight table the way
-``casevec weights`` does, then draws batches of ``TrainConfig``'s default
-size from one generator. It prints one line per size: N, the first call
-(which may build per-table state), the median and count of the later
-calls, and the process's peak RSS before the first draw and after the
-last. Peak RSS is the high-water mark of the whole process, so a size can
-only show a peak above those before it. Timings are wall clock.
+``casevec weights`` does, timing ``compute_profiles`` and
+``pairwise_weights`` once each, then draws batches of ``TrainConfig``'s
+default size from one generator. It prints one line per size: N, the two
+stage times, the process's peak RSS after the weights, a sha256 of the
+table's matrix bytes (equal on two commits when their tables are
+bit-equal), the first draw (which may build per-table state), the median
+and count of the later draws, and the peak RSS after the last. Peak RSS
+is the high-water mark of the whole process, so a size can only show a
+peak above those before it; run one size per process to see each size's
+own peak. Timings are wall clock.
 """
 
 from __future__ import annotations
 
+import hashlib
 import resource
 import statistics
 import sys
@@ -45,21 +50,28 @@ def measure(cases_per_branch: int) -> str:
     tok = TokenizerConfig()
     corpus = generate(spec)
     articles = build_corpus(corpus.article_specs, tok)
-    profiles = compute_profiles(corpus.cases, articles, build_index(articles, tok))
+    index = build_index(articles, tok)
+    start = perf_counter()
+    profiles = compute_profiles(corpus.cases, articles, index)
+    profiles_s = perf_counter() - start
+    start = perf_counter()
     table = pairwise_weights(corpus.cases, profiles)
+    pairwise_s = perf_counter() - start
+    rss_weights = peak_rss_mb()
+    digest = hashlib.sha256(table.matrix.tobytes()).hexdigest()
     del profiles
     n = TrainConfig().batch_quadruples
     rng = np.random.default_rng(0)
-    rss_before = peak_rss_mb()
     times = []
     for _ in range(1 + LATER_CALLS):
         start = perf_counter()
         sample_quadruples(table, n, rng)
         times.append(perf_counter() - start)
-    return (f"N={len(table.ids)} quadruples={n} first={times[0] * 1e3:.3f} ms"
+    return (f"N={len(table.ids)} profiles={profiles_s * 1e3:.1f} ms"
+            f" pairwise={pairwise_s * 1e3:.1f} ms peak_rss_weights={rss_weights:.0f} MB"
+            f" sha256={digest} quadruples={n} first={times[0] * 1e3:.3f} ms"
             f" later_median={statistics.median(times[1:]) * 1e3:.3f} ms"
-            f" (of {LATER_CALLS}) peak_rss_before={rss_before:.0f} MB"
-            f" peak_rss_after={peak_rss_mb():.0f} MB")
+            f" (of {LATER_CALLS}) peak_rss_after={peak_rss_mb():.0f} MB")
 
 
 def main(argv: list[str]) -> int:

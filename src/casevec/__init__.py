@@ -52,13 +52,10 @@ from .evaluation import (
 from .relevance import (
     CaseDocument,
     RelevanceError,
-    RelevanceWeight,
     WeightTable,
     load_cases,
     pairwise_weights,
-    rel,
     save_cases,
-    weight,
 )
 from .sampling import (
     BatchPartition,

@@ -98,12 +98,14 @@ def compute_profiles(cases, corpus: ArticleCorpus, index: Bm25Index) -> dict[str
     ``idf(tok) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))``,
     where ``tf`` is the token's count in the branch and ``dl`` its length.
     One token × branch table of these terms is built per call, with a
-    last row of zeros for tokens no branch holds; a case's scores are the
-    rows of its query tokens summed one after another in query order.
-    ``np.add.accumulate`` is sequential by definition, where
-    ``np.add.reduce`` sums a one-column table pairwise. Raises if a
-    holding tokenizes to nothing, since such a case carries no usable
-    signal, or if ``corpus`` holds a branch ``index`` was not built from.
+    last row of zeros for tokens no branch holds. Every holding is
+    tokenized first and its rows laid out in one cases × longest-query
+    index array, padded with the zero row. Then all cases' scores are
+    summed at once, one query position at a time from zeros, so each case
+    still adds its terms one after another in query order and the scratch
+    is one cases × branches array. Raises if a holding tokenizes to
+    nothing, since such a case carries no usable signal, or if ``corpus``
+    holds a branch ``index`` was not built from.
     """
     row_of = {tok: r for r, tok in enumerate(index.doc_freq)}
     absent = len(row_of)
@@ -127,13 +129,23 @@ def compute_profiles(cases, corpus: ArticleCorpus, index: Bm25Index) -> dict[str
         }
     except KeyError as exc:
         raise Bm25Error(f"branch {exc.args[0]!r} is not part of the indexed corpus") from None
-    profiles = {}
+    queries = []
     for case in cases:
         query = tokenize(case.holding, index.cfg)
         if not query:
             raise Bm25Error(f"case {case.case_id!r}: holding tokenizes to an empty query")
-        query_rows = list(map(row_of.get, query, itertools.repeat(absent)))
-        scores = np.add.accumulate(table[query_rows], axis=0)[-1]
-        profiles[case.case_id] = SimilarityProfile(
-            case.case_id, {article_id: scores[c] for article_id, c in article_cols.items()})
-    return profiles
+        queries.append(query)
+    query_rows = np.full((len(queries), max(map(len, queries), default=0)), absent, dtype=np.intp)
+    for row, query in zip(query_rows, queries):
+        row[:len(query)] = list(map(row_of.get, query, itertools.repeat(absent)))
+    # the terms are positive and x + 0.0 is x, so the zeros and the padding
+    # leave every sum bit-equal to one from the first term to the last
+    scores = np.zeros((len(queries), index.size), dtype=np.float64)
+    for column in query_rows.T:
+        scores += table[column]
+    blocks = {article_id: scores[:, c] for article_id, c in article_cols.items()}
+    return {
+        case.case_id: SimilarityProfile(
+            case.case_id, {article_id: block[i] for article_id, block in blocks.items()})
+        for i, case in enumerate(cases)
+    }

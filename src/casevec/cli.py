@@ -227,9 +227,14 @@ def _build(config, args: argparse.Namespace, opts: dict, **explicit):
     return config(**explicit)
 
 
+def _in_new_dirs(path: str) -> str:
+    """``path``, once every directory above it exists."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
 def _echo_config(command: str, options: dict, primary_out: str) -> None:
     outdir = primary_out if os.path.isdir(primary_out) else os.path.dirname(primary_out) or "."
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{command}.config.json")
     with open_output(path, encoding="utf-8") as fh:
         json.dump({"command": command, "options": options}, fh, sort_keys=True, indent=2)
@@ -252,7 +257,7 @@ def _cmd_gen_corpus(args) -> int:
 def _cmd_expand_articles(args) -> int:
     opts = _effective(args)
     corpus = build_corpus(load_article_specs(args.articles), _build(TokenizerConfig, args, opts))
-    write_json_lines(args.out, map(asdict, corpus.branches))
+    write_json_lines(_in_new_dirs(args.out), map(asdict, corpus.branches))
     _echo_config("expand-articles", opts, args.out)
     print(f"expanded {len(corpus.by_article)} articles into {len(corpus)} branches")
     return 0
@@ -269,7 +274,7 @@ def _weight_table(args, opts, tok):
 def _cmd_weights(args) -> int:
     opts = _effective(args)
     _, _, table = _weight_table(args, opts, _build(TokenizerConfig, args, opts))
-    table.to_csv(args.out)
+    table.to_csv(_in_new_dirs(args.out))
     _echo_config("weights", opts, args.out)
     print(f"wrote {len(table.ids)}x{len(table.ids)} weight table to {args.out}")
     return 0
@@ -297,7 +302,7 @@ def _cmd_sample(args) -> int:
         })
     # every batch is drawn before --out is opened, so a failed draw leaves
     # an existing manifest as it was
-    write_json_lines(args.out, batches)
+    write_json_lines(_in_new_dirs(args.out), batches)
     _echo_config("sample", opts, args.out)
     print(f"wrote {opts['num_batches']} batch manifests to {args.out}")
     return 0
@@ -325,10 +330,9 @@ def _cmd_pretrain(args) -> int:
         + [list(br.keyword_sequence) for br in corpus.branches]
     )
     enc_cfg = _build(enc.EncoderConfig, args, opts, vocab_size=len(vocab))
-    os.makedirs(args.out, exist_ok=True)
     params, log = train(cases, table, vocab, tok, enc_cfg, train_cfg, hp=hp,
                         resume_from=args.resume)
-    enc.save_params(os.path.join(args.out, "encoder.params"), params, enc_cfg)
+    enc.save_params(_in_new_dirs(os.path.join(args.out, "encoder.params")), params, enc_cfg)
     vocab.save(os.path.join(args.out, "vocab.txt"))
     log.to_jsonl(os.path.join(args.out, "trainlog.jsonl"))
     table.to_csv(os.path.join(args.out, "weights.csv"))
@@ -361,7 +365,7 @@ def _cmd_rank(args) -> int:
              params, enc_cfg, vocab, tok)
         for q in queries
     ]
-    save_run(runs, args.out)
+    save_run(runs, _in_new_dirs(args.out))
     _echo_config("rank", opts, args.out)
     print(f"ranked {len(candidates)} candidates for {len(queries)} queries into {args.out}")
     return 0
@@ -376,7 +380,7 @@ def _cmd_evaluate(args) -> int:
     except ValueError:
         raise CliError(f"--ks must be comma-separated integers, got {opts['ks']!r}") from None
     metrics = evaluate(runs, qrels, ks=ks, skip_unjudged=opts["skip_unjudged"])
-    save_metrics(metrics, args.out)
+    save_metrics(metrics, _in_new_dirs(args.out))
     _echo_config("evaluate", opts, args.out)
     means = {k: round(v["mean"], 6) for k, v in metrics.items()}
     print(f"metrics {means} written to {args.out}")
@@ -388,8 +392,8 @@ def _cmd_export_embeddings(args) -> int:
     params, enc_cfg, vocab = _load_encoder(args)
     cases = load_cases(args.cases)
     labels = load_labels(args.labels) if args.labels else None
-    export_embeddings(cases, params, enc_cfg, vocab, _build(TokenizerConfig, args, opts), args.out,
-                      projection=opts["projection"], labels=labels)
+    export_embeddings(cases, params, enc_cfg, vocab, _build(TokenizerConfig, args, opts),
+                      _in_new_dirs(args.out), projection=opts["projection"], labels=labels)
     _echo_config("export-embeddings", opts, args.out)
     print(f"exported {len(cases)} embeddings ({opts['projection']}) to {args.out}")
     return 0

@@ -118,6 +118,8 @@ def weight(
 
 
 _WEIGHT_CSV_HEADER = ["source_id", "target_id", "value"]
+_OVERLAP_CHUNK = 1 << 18  # table entries weighted at a time (2 MB), which bounds the scratch
+_SAME_PEAK = 2.0  # marks rel = 1 from a shared peak while the weight table is built
 _BLOCK_ROWS = 2048  # rows parsed at a time, which bounds the row objects alive at once
 
 
@@ -349,11 +351,16 @@ def pairwise_weights(
     """Weight table over all ordered pairs of the given cases.
 
     Every entry equals ``weight(case_i, case_j, profiles).value``, but the
-    table is computed per article, not per pair: the overlap term from the
-    case×article incidence matrix, and for each article the cosines of its
-    citing cases' score vectors from their Gram matrix and the peaks from a
-    row argmax. ``rel`` is then 1 where two cases share a peak in some
-    shared article, else the largest cosine over their shared articles.
+    table is computed per article, not per pair. For each article the
+    cosines of its citing cases' score vectors come from their Gram matrix
+    and the peaks from a row argmax; they update those cases' block of the
+    table in place, as a running max with a mark where two cases share a
+    peak. ``rel`` is then 1 where two cases share a peak in some shared
+    article, else the largest cosine over their shared articles. Last, the
+    table is multiplied in place, a few rows at a time, by the overlap
+    term, taken from a G×G table over the G distinct article sets. So the
+    N×N result is the only N×N array; the scratch beside it is one
+    article's blocks, that G×G table and one row chunk.
 
     The diagonal equals 1 whenever a case's holding has lexical contact
     with at least one branch of one of its articles; a case with all-zero
@@ -372,13 +379,9 @@ def pairwise_weights(
         for article_id in sorted(case.articles):
             citing.setdefault(article_id, []).append(i)
     n = len(ids)
-    incidence = np.zeros((n, len(citing)), dtype=np.float64)
-    for k, rows in enumerate(citing.values()):
-        incidence[rows, k] = 1.0
-    # small integer counts, so |A_i ∩ A_j| and |A_i| are exact
-    overlap = (incidence @ incidence.T) / incidence.sum(axis=1)[:, None]
-    same_peak = np.zeros((n, n), dtype=bool)
-    best_cos = np.zeros((n, n), dtype=np.float64)
+    # rel so far: the largest cosine over the articles seen, or _SAME_PEAK
+    # once a pair shares a peak, which no cosine can reach or outgrow
+    weights = np.zeros((n, n), dtype=np.float64)
     for article_id, rows in citing.items():
         vectors = []
         for i in rows:
@@ -399,9 +402,26 @@ def pairwise_weights(
                         where=nonzero[:, None] & nonzero)
         peak = np.where(scores.any(axis=1), scores.argmax(axis=1), -1)
         block = np.ix_(rows, rows)
-        same_peak[block] |= (peak[:, None] == peak) & (peak >= 0)
-        best_cos[block] = np.maximum(best_cos[block], cos)
-    return WeightTable(ids, overlap * np.where(same_peak, 1.0, best_cos))
+        rel_block = np.maximum(weights[block], cos, out=cos)
+        np.copyto(rel_block, _SAME_PEAK, where=(peak[:, None] == peak) & (peak >= 0))
+        weights[block] = rel_block
+    # the overlap term depends only on the two article sets, so it comes
+    # from the incidence of the G distinct sets, G×G, not from an N×N product
+    set_of: dict[frozenset[str], int] = {}
+    group = np.array([set_of.setdefault(case.articles, len(set_of)) for case in cases],
+                     dtype=np.intp)
+    column = {article_id: k for k, article_id in enumerate(citing)}
+    incidence = np.zeros((len(set_of), len(column)), dtype=np.float64)
+    for row, articles in zip(incidence, set_of):
+        row[[column[article_id] for article_id in articles]] = 1.0
+    # small integer counts, so |A_i ∩ A_j| and |A_i| are exact
+    overlap = (incidence @ incidence.T) / incidence.sum(axis=1)[:, None]
+    step = max(1, _OVERLAP_CHUNK // max(n, 1))
+    for lo in range(0, n, step):
+        chunk = weights[lo:lo + step]
+        np.copyto(chunk, 1.0, where=chunk == _SAME_PEAK)
+        chunk *= np.take(overlap[group[lo:lo + step]], group, axis=1)
+    return WeightTable(ids, weights)
 
 
 def load_cases(path: str) -> list[CaseDocument]:

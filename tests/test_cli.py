@@ -85,6 +85,34 @@ class TestPipeline:
                        "--out", str(emb2d), "--projection", "pca2d") == 0
         assert emb2d.read_text().splitlines()[0] == "case_id,label,x,y"
 
+    def test_every_writer_creates_the_directories_of_its_out(self, tmp_path, corpus_dir):
+        def out(command, name):
+            return tmp_path / command / "new" / "sub" / name
+
+        run_dir = out("pretrain", "run")
+        assert pretrain(corpus_dir, run_dir) == 0
+        encoder = ["--checkpoint", str(run_dir / "encoder.params"),
+                   "--vocab", str(run_dir / "vocab.txt")]
+        corpus = {name: str(corpus_dir / name)
+                  for name in ("articles.json", "cases.jsonl", "queries.jsonl", "qrels.tsv")}
+        commands = [
+            ("expand-articles", "branches.jsonl", ["--articles", corpus["articles.json"]]),
+            ("weights", "weights.csv",
+             ["--articles", corpus["articles.json"], "--cases", corpus["cases.jsonl"]]),
+            ("sample", "batches.jsonl", ["--weights", str(out("weights", "weights.csv"))]),
+            ("rank", "run.tsv",
+             encoder + ["--queries", corpus["queries.jsonl"], "--cases", corpus["cases.jsonl"]]),
+            ("evaluate", "metrics.json",
+             ["--run", str(out("rank", "run.tsv")), "--qrels", corpus["qrels.tsv"]]),
+            ("export-embeddings", "emb.csv", encoder + ["--cases", corpus["cases.jsonl"]]),
+        ]
+        for command, name, argv in commands:
+            path = out(command, name)
+            assert run_cli(command, *argv, "--out", str(path)) == 0, command
+            assert path.stat().st_size > 0
+            echo = json.loads((path.parent / f"{command}.config.json").read_text())
+            assert echo["command"] == command
+
     def test_expand_articles(self, tmp_path, corpus_dir):
         out = tmp_path / "branches.jsonl"
         assert run_cli("expand-articles", "--articles", str(corpus_dir / "articles.json"),

@@ -3,6 +3,7 @@
 import ast
 import csv
 import io
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -431,6 +432,25 @@ def test_table_matches_the_scalar_oracle_on_multi_article_corpora():
         fractional_overlap += sum(0 < len(ci.articles & cj.articles) < len(ci.articles)
                                   for ci in cases for cj in cases)
     assert fractional_overlap > 1000
+
+
+def test_peak_memory_is_near_the_table_itself():
+    """The table is built in place: beside the N×N result there is only
+    per-article and per-chunk scratch (1920 cases, 29 MB of weights)."""
+    spec = SynthSpec(num_articles=4, branches_per_article=4, vocab_size=200, noise_rate=0.1,
+                     seed=1, cases_per_branch=120)
+    tok = TokenizerConfig()
+    corpus = generate(spec)
+    articles = build_corpus(corpus.article_specs, tok)
+    profiles = compute_profiles(corpus.cases, articles, build_index(articles, tok))
+    tracemalloc.start()
+    try:
+        table = pairwise_weights(corpus.cases, profiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.ids) == 1920
+    assert peak <= 1.5 * table.matrix.nbytes
 
 
 @pytest.mark.parametrize("spec", [
