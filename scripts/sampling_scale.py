@@ -7,19 +7,25 @@ Run from the repository root, with the package on the path:
 Each argument is a ``cases_per_branch`` for a corpus of 4 articles with 4
 branches each (N = 16 × cases_per_branch cases; 60, 300 and 625 give 960,
 4800 and 10⁴). For each size the script builds the weight table the way
-``casevec weights`` does, timing ``compute_profiles`` and
-``pairwise_weights`` once each, then draws batches of ``TrainConfig``'s
-default size from one generator. It prints one line per size: N, the two
-stage times, the process's peak RSS after the weights, a sha256 of the
-table's matrix bytes (equal on two commits when their tables are
-bit-equal), the first draw (which may build per-table state), the median
-and count of the later draws, and the peak RSS after the last. Peak RSS
-is the high-water mark of the whole process, so a size can only show a
-peak above those before it; run one size per process to see each size's
-own peak. Timings are wall clock.
+``casevec weights`` does, timing ``build_index``, ``compute_profiles``
+and ``pairwise_weights`` once each, then draws batches of
+``TrainConfig``'s default size from one generator. It prints one line per
+size: N, the three stage times, the process's peak RSS after the weights,
+a sha256 of the table's matrix bytes (equal on two commits when their
+tables are bit-equal), the first draw (which may build per-table state),
+the median and count of the later draws, and the peak RSS after the last.
+Peak RSS is the high-water mark of the whole process, so a size can only
+show a peak above those before it; run one size per process to see each
+size's own peak. Timings are wall clock. BLAS and OpenMP get one thread,
+as in ``perfbench/run.py``, so no BLAS call waits for a busy second CPU.
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # must precede the first numpy import
 
 import hashlib
 import resource
@@ -50,7 +56,9 @@ def measure(cases_per_branch: int) -> str:
     tok = TokenizerConfig()
     corpus = generate(spec)
     articles = build_corpus(corpus.article_specs, tok)
+    start = perf_counter()
     index = build_index(articles, tok)
+    index_s = perf_counter() - start
     start = perf_counter()
     profiles = compute_profiles(corpus.cases, articles, index)
     profiles_s = perf_counter() - start
@@ -67,7 +75,7 @@ def measure(cases_per_branch: int) -> str:
         start = perf_counter()
         sample_quadruples(table, n, rng)
         times.append(perf_counter() - start)
-    return (f"N={len(table.ids)} profiles={profiles_s * 1e3:.1f} ms"
+    return (f"N={len(table.ids)} index={index_s * 1e3:.2f} ms profiles={profiles_s * 1e3:.1f} ms"
             f" pairwise={pairwise_s * 1e3:.1f} ms peak_rss_weights={rss_weights:.0f} MB"
             f" sha256={digest} quadruples={n} first={times[0] * 1e3:.3f} ms"
             f" later_median={statistics.median(times[1:]) * 1e3:.3f} ms"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,23 +29,20 @@ class Bm25Error(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bm25Index:
-    """Immutable statistics of the branch corpus, ready for scoring."""
+    """The BM25 terms of the branch corpus, ready for scoring.
 
-    k1: float
-    b: float
+    ``terms[rows[tok], pos]`` is the term of token ``tok`` in the branch
+    at column ``pos``; the last row, zeros, stands for every token no
+    branch holds. ``terms`` is read-only. ``positions`` maps a branch's
+    ``(article_id, branch_index)`` to its column.
+    """
+
     cfg: TokenizerConfig
-    size: int = 0
-    avgdl: float = 0.0
-    doc_freq: dict[str, int] = field(default_factory=dict)
-    term_counts: list[Counter] = field(default_factory=list)
-    doc_lens: list[int] = field(default_factory=list)
-    positions: dict[tuple[str, int], int] = field(default_factory=dict)
-
-    def idf(self, token: str) -> float:
-        df = self.doc_freq.get(token, 0)
-        return math.log((self.size - df + 0.5) / (df + 0.5) + 1.0)
+    rows: dict[str, int]
+    terms: np.ndarray
+    positions: dict[tuple[str, int], int]
 
 
 @dataclass
@@ -66,8 +63,11 @@ def build_index(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> Bm25Index:
-    """Count statistics of the branch corpus into an index.
+    """The token × branch table of BM25 terms of the branch corpus.
 
+    The term of a token in branch ``pos`` is
+    ``idf(tok) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))``,
+    where ``tf`` is the token's count in the branch and ``dl`` its length.
     ``cfg`` is remembered so queries are tokenized into the same token
     space the branch sequences were produced with.
     """
@@ -77,50 +77,40 @@ def build_index(
         raise Bm25Error(f"k1 must be positive and finite, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise Bm25Error(f"b must be in [0, 1], got {b}")
-    index = Bm25Index(k1=k1, b=b, cfg=cfg)
-    for pos, branch in enumerate(corpus.branches):
-        index.positions[(branch.article_id, branch.branch_index)] = pos
-        counts = Counter(branch.keyword_sequence)
-        index.term_counts.append(counts)
-        index.doc_lens.append(len(branch.keyword_sequence))
-        for tok in counts:
-            index.doc_freq[tok] = index.doc_freq.get(tok, 0) + 1
-    index.size = len(corpus)
-    index.avgdl = sum(index.doc_lens) / index.size
-    return index
+    size = len(corpus)
+    counts = [Counter(branch.keyword_sequence) for branch in corpus.branches]
+    doc_freq = Counter(itertools.chain.from_iterable(counts))  # a Counter iterates its tokens
+    rows = {tok: r for r, tok in enumerate(doc_freq)}
+    token_rows = [rows[tok] for c in counts for tok in c]
+    cols = [pos for pos, c in enumerate(counts) for _ in c]
+    idf = np.array([math.log((size - df + 0.5) / (df + 0.5) + 1.0)
+                    for df in doc_freq.values()])[token_rows]
+    tf = np.array([tf for c in counts for tf in c.values()], dtype=np.float64)
+    doc_lens = [len(branch.keyword_sequence) for branch in corpus.branches]
+    avgdl = sum(doc_lens) / size
+    denom_norm = np.array([k1 * (1.0 - b + b * dl / avgdl) for dl in doc_lens])
+    terms = np.zeros((len(rows) + 1, size), dtype=np.float64)
+    terms[token_rows, cols] = idf * tf * (k1 + 1.0) / (tf + denom_norm[cols])
+    terms.flags.writeable = False
+    positions = {(branch.article_id, branch.branch_index): pos
+                 for pos, branch in enumerate(corpus.branches)}
+    return Bm25Index(cfg, rows, terms, positions)
 
 
 def compute_profiles(cases, corpus: ArticleCorpus, index: Bm25Index) -> dict[str, SimilarityProfile]:
     """Similarity profiles for a list of cases, keyed by case id.
 
     The score of branch ``pos`` against a case's tokenized holding is the
-    sum, over query tokens in query order and with multiplicity, of
-    ``idf(tok) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))``,
-    where ``tf`` is the token's count in the branch and ``dl`` its length.
-    One token × branch table of these terms is built per call, with a
-    last row of zeros for tokens no branch holds. Every holding is
-    tokenized first and its rows laid out in one cases × longest-query
-    index array, padded with the zero row. Then all cases' scores are
-    summed at once, one query position at a time from zeros, so each case
-    still adds its terms one after another in query order and the scratch
-    is one cases × branches array. Raises if a holding tokenizes to
-    nothing, since such a case carries no usable signal, or if ``corpus``
-    holds a branch ``index`` was not built from.
+    sum of the index's terms of its query tokens in that branch, in query
+    order and with multiplicity. Every holding is tokenized first and its
+    rows laid out in one cases × longest-query index array, padded with
+    the zero row. Then all cases' scores are summed at once, one query
+    position at a time from zeros, so each case still adds its terms one
+    after another in query order and the scratch is one cases × branches
+    array. Raises if a holding tokenizes to nothing, since such a case
+    carries no usable signal, or if ``corpus`` holds a branch ``index``
+    was not built from.
     """
-    row_of = {tok: r for r, tok in enumerate(index.doc_freq)}
-    absent = len(row_of)
-    rows, cols, tfs = [], [], []
-    for pos, counts in enumerate(index.term_counts):
-        rows += map(row_of.__getitem__, counts)
-        cols += [pos] * len(counts)
-        tfs += counts.values()
-    idf = np.array([index.idf(tok) for tok in row_of])[rows]
-    tf = np.array(tfs, dtype=np.float64)
-    k1, b = index.k1, index.b
-    denom_norm = np.array([k1 * (1.0 - b + b * dl / index.avgdl) for dl in index.doc_lens])
-    table = np.zeros((absent + 1, index.size), dtype=np.float64)
-    table[rows, cols] = idf * tf * (k1 + 1.0) / (tf + denom_norm[cols])
-
     try:
         article_cols = {
             article_id: np.array([index.positions[(article_id, br.branch_index)]
@@ -135,14 +125,15 @@ def compute_profiles(cases, corpus: ArticleCorpus, index: Bm25Index) -> dict[str
         if not query:
             raise Bm25Error(f"case {case.case_id!r}: holding tokenizes to an empty query")
         queries.append(query)
+    absent = len(index.rows)
     query_rows = np.full((len(queries), max(map(len, queries), default=0)), absent, dtype=np.intp)
     for row, query in zip(query_rows, queries):
-        row[:len(query)] = list(map(row_of.get, query, itertools.repeat(absent)))
+        row[:len(query)] = list(map(index.rows.get, query, itertools.repeat(absent)))
     # the terms are positive and x + 0.0 is x, so the zeros and the padding
     # leave every sum bit-equal to one from the first term to the last
-    scores = np.zeros((len(queries), index.size), dtype=np.float64)
+    scores = np.zeros((len(queries), index.terms.shape[1]), dtype=np.float64)
     for column in query_rows.T:
-        scores += table[column]
+        scores += index.terms[column]
     blocks = {article_id: scores[:, c] for article_id, c in article_cols.items()}
     return {
         case.case_id: SimilarityProfile(

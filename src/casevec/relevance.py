@@ -232,16 +232,17 @@ class WeightTable:
         not UTF-8, each with ``<path>:<line>:``; then a file without a
         row, a target that is never a source (at its first line) and a
         missing pair. The rows are parsed a block at a time into id codes
-        and values, and the table is checked on arrays; only a file that
-        fails is read again, row by row, to find its first error.
+        and values, the pairs are checked on arrays, and the constructor
+        checks the range; only a file that fails is read again, row by
+        row, to find its first error.
         """
         try:
             table = _valid_table(path)
-        except (csv.Error, ValueError):  # a row csv.reader, UTF-8 or float() cannot read
-            table = None
-        if table is None:
-            _raise_first_error(path)
-        return cls(*table)
+            if table is not None:
+                return cls(*table)
+        except (csv.Error, ValueError):  # an unreadable row, or a weight outside [0, 1]
+            pass
+        _raise_first_error(path)
 
 
 def _csv_fields(ids: list[str]) -> list[str]:
@@ -260,7 +261,8 @@ def _csv_fields(ids: list[str]) -> list[str]:
 
 def _valid_table(path: str) -> tuple[list[str], np.ndarray] | None:
     """The ids and matrix of a weight CSV read a block of rows at a time,
-    or None if the file is not a valid table. It never locates an error."""
+    or None if its rows do not fill one table. It leaves the range to
+    ``WeightTable`` and never locates an error."""
     codes: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # ids of either column
     sources: dict[str, None] = {}  # in order of first appearance as a source
     blocks = []
@@ -291,8 +293,9 @@ def _valid_table(path: str) -> tuple[list[str], np.ndarray] | None:
 def _block_columns(reader, codes, sources):
     """The next block of rows as source codes, target codes and values,
     None at the end of the file. A row that has not three fields or whose
-    value is not in [0, 1] raises ValueError. The block's row objects are
-    freed on return, before the next block is read."""
+    value ``float`` cannot read raises ValueError; the range is left to
+    ``WeightTable``. The block's row objects are freed on return, before
+    the next block is read."""
     block = list(itertools.islice(reader, _BLOCK_ROWS))
     if not block:
         return None
@@ -301,8 +304,6 @@ def _block_columns(reader, codes, sources):
     fields = list(itertools.chain.from_iterable(block))
     srcs, tgts, vals = fields[0::3], fields[1::3], fields[2::3]
     values = np.fromiter(map(float, vals), np.float64, len(vals))
-    if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails both comparisons
-        raise ValueError("a weight is not in [0, 1]")
     sources.update(dict.fromkeys(srcs))
     return (np.fromiter(map(codes.__getitem__, srcs), np.int64, len(srcs)),
             np.fromiter(map(codes.__getitem__, tgts), np.int64, len(tgts)), values)

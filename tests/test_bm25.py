@@ -1,4 +1,4 @@
-"""BM25 index statistics and scores against a brute-force reference.
+"""The BM25 term table and scores against a brute-force reference.
 
 The expected values for the 3-document toy corpus were computed with
 the reference implementation in _helpers before the module existed and
@@ -33,30 +33,66 @@ TOY_EXPECTED = [0.5529454461714537, 1.1414373853110722, 1.6742849409581266]
 
 
 class TestIndexStatistics:
-    def test_counts_of_three_branch_corpus(self):
+    def test_table_of_three_branch_corpus(self):
+        """One row per token in order of first appearance, one column per
+        branch, and a last row of zeros for every other token."""
         corpus = corpus_from_sequences(TOY_DOCS)
         index = build_index(corpus)
-        assert index.size == 3
-        assert index.avgdl == pytest.approx((2 + 3 + 4) / 3)
-        assert index.doc_lens == [2, 3, 4]
+        assert index.rows == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert index.positions == {("art", 0): 0, ("art", 1): 1, ("art", 2): 2}
+        assert index.terms.shape == (5, 3)
+        assert index.terms.dtype == np.float64
+        assert not index.terms[-1].any()
 
     def test_document_frequency(self):
+        """A term is positive exactly where its token occurs, so each row
+        holds its token's document frequency."""
         index = build_index(corpus_from_sequences(TOY_DOCS))
-        assert index.doc_freq == {"a": 2, "b": 2, "c": 2, "d": 1}
+        assert {tok: np.count_nonzero(index.terms[r]) for tok, r in index.rows.items()} == (
+            {"a": 2, "b": 2, "c": 2, "d": 1})
 
-    def test_random_corpora_match_brute_force_counts(self):
+    def test_random_corpora_terms_match_reference(self):
+        """Every term equals the one-token reference score bit for bit."""
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            n_docs = int(rng.integers(1, 8))
-            docs = [
-                [f"t{rng.integers(0, 10)}" for _ in range(int(rng.integers(1, 12)))]
-                for _ in range(n_docs)
-            ]
-            index = build_index(corpus_from_sequences(docs))
-            assert index.size == n_docs
-            assert index.avgdl == pytest.approx(sum(map(len, docs)) / n_docs)
-            for tok in {t for d in docs for t in d}:
-                assert index.doc_freq[tok] == sum(1 for d in docs if tok in d)
+        single_branch = 0
+        for _ in range(100):
+            corpus = random_corpus(rng)
+            single_branch += len(corpus) == 1
+            k1, b = float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.0, 1.0))
+            index = build_index(corpus, k1=k1, b=b)
+            docs = [list(br.keyword_sequence) for br in corpus.branches]
+            assert set(index.rows) == {tok for d in docs for tok in d}
+            assert sorted(index.rows.values()) == list(range(len(index.rows)))
+            assert index.terms.shape == (len(index.rows) + 1, len(docs))
+            for tok, r in index.rows.items():
+                expected = bm25_reference(docs, [tok], k1=k1, b=b)
+                assert index.terms[r].tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        assert single_branch >= 5
+
+    def test_random_corpora_last_row_zero_and_table_read_only(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            index = build_index(random_corpus(rng), k1=float(rng.uniform(0.5, 2.5)),
+                                b=float(rng.uniform(0.0, 1.0)))
+            assert not index.terms[-1].any()
+            assert not index.terms.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                index.terms[0, 0] = 1.0
+
+    def test_random_corpora_terms_positive_where_token_occurs(self):
+        """The plus-one idf keeps a term positive even when every branch
+        holds the token; a token the branch lacks has a zero term."""
+        rng = np.random.default_rng(7)
+        single_branch = 0
+        for _ in range(100):
+            corpus = random_corpus(rng)
+            single_branch += len(corpus) == 1
+            index = build_index(corpus, k1=float(rng.uniform(0.5, 2.5)),
+                                b=float(rng.uniform(0.0, 1.0)))
+            for tok, r in index.rows.items():
+                for pos, br in enumerate(corpus.branches):
+                    assert (index.terms[r, pos] > 0.0) == (tok in br.keyword_sequence)
+        assert single_branch >= 5
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(Bm25Error, match="empty"):
@@ -82,7 +118,8 @@ class TestScores:
         overlapping query scores above zero."""
         corpus = corpus_from_sequences([["a", "b"]])
         index = build_index(corpus)
-        assert index.idf("a") == pytest.approx(math.log(4.0 / 3.0))
+        # tf = 1 and dl = avgdl, so the term is the idf itself
+        assert index.terms[index.rows["a"], 0] == pytest.approx(math.log(4.0 / 3.0))
         (score,) = bm25_scores(["a"], corpus, index)
         assert score == pytest.approx(bm25_reference([["a", "b"]], ["a"])[0])
         assert score > 0.0
