@@ -66,7 +66,7 @@ def measure(cases_per_branch: int) -> str:
     table = pairwise_weights(corpus.cases, profiles)
     pairwise_s = perf_counter() - start
     rss_weights = peak_rss_mb()
-    digest = hashlib.sha256(table.matrix.tobytes()).hexdigest()
+    digest = hashlib.sha256(table.matrix).hexdigest()  # the buffer itself, not a tobytes() copy
     del profiles
     n = TrainConfig().batch_quadruples
     rng = np.random.default_rng(0)

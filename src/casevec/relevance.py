@@ -121,6 +121,8 @@ _WEIGHT_CSV_HEADER = ["source_id", "target_id", "value"]
 _OVERLAP_CHUNK = 1 << 18  # table entries weighted at a time (2 MB), which bounds the scratch
 _SAME_PEAK = 2.0  # marks rel = 1 from a shared peak while the weight table is built
 _BLOCK_ROWS = 2048  # rows parsed at a time, which bounds the row objects alive at once
+_CSV_CHUNK = 1 << 14  # table entries written at a time, which bounds the writer's strings
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))  # a row without them is ",,\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,14 +213,27 @@ class WeightTable:
 
     def to_csv(self, path: str) -> None:
         """Write a header, then one ``source_id,target_id,value`` row per
-        ordered pair, sources and targets in table order, each value its
-        ``repr``. The bytes are those of ``csv.writer``, one row at a time."""
+        ordered pair, sources and targets in table order, each value the
+        ``repr`` of its float: the bytes of ``csv.writer``, row by row. A
+        chunk of rows is one join of row starts and target entries, each a
+        shared ``<target>,0.0`` entry unless the weight has a nonzero bit."""
         fields = _csv_fields(self.ids)
+        n = len(fields)
+        starts = np.array([f"{src}," for src in fields], dtype=object)
+        zeros = np.array([f"{tgt},0.0\n" for tgt in fields], dtype=object)
+        step = max(1, _CSV_CHUNK // max(n, 1))
         with open_output(path, encoding="utf-8", newline="") as fh:
             fh.write(",".join(_WEIGHT_CSV_HEADER) + "\n")
-            for src, row in zip(fields, self.matrix):
-                fh.write("".join([f"{src},{tgt},{w}\n"
-                                  for tgt, w in zip(fields, map(repr, row.tolist()))]))
+            for lo in range(0, n, step):
+                values = np.ravel(self.matrix[lo:lo + step]).astype(np.float64, copy=False)
+                at = np.arange(values.size)
+                pieces = np.empty(2 * values.size, dtype=object)
+                pieces[0::2] = starts[lo + at // n]
+                pieces[1::2] = zeros[at % n]
+                nonzero = np.flatnonzero(values.view(np.int64))
+                pieces[2 * nonzero + 1] = [f"{fields[t]},{w!r}\n" for t, w in
+                                           zip((nonzero % n).tolist(), values[nonzero].tolist())]
+                fh.write("".join(pieces.tolist()))
 
     @classmethod
     def from_csv(cls, path: str) -> "WeightTable":
@@ -231,10 +246,10 @@ class WeightTable:
         repeated pair, a line that ``csv.reader`` cannot read or that is
         not UTF-8, each with ``<path>:<line>:``; then a file without a
         row, a target that is never a source (at its first line) and a
-        missing pair. The rows are parsed a block at a time into id codes
-        and values, the pairs are checked on arrays, and the constructor
-        checks the range; only a file that fails is read again, row by
-        row, to find its first error.
+        missing pair. Blocks of rows are split into id codes and values,
+        without ``csv.reader`` where no line needs it, the pairs are
+        checked on arrays, and the constructor checks the range; only a
+        file that fails is read again, row by row, to find its first error.
         """
         try:
             table = _valid_table(path)
@@ -262,16 +277,30 @@ def _csv_fields(ids: list[str]) -> list[str]:
 def _valid_table(path: str) -> tuple[list[str], np.ndarray] | None:
     """The ids and matrix of a weight CSV read a block of rows at a time,
     or None if its rows do not fill one table. It leaves the range to
-    ``WeightTable`` and never locates an error."""
+    ``WeightTable`` and never locates an error. After the exact header, a
+    block of lines without ``"``, ``\\r``, NUL or a line over the field
+    limit is split in one pass; from the first other block, or another
+    header, the rest goes to ``csv.reader``, starting at a row boundary."""
     codes: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # ids of either column
     sources: dict[str, None] = {}  # in order of first appearance as a source
     blocks = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _WEIGHT_CSV_HEADER:
-            return None
-        while columns := _block_columns(reader, codes, sources):
-            blocks.append(columns)
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        lines = [fh.readline()]
+        plain = exact_header = lines[0] == (",".join(_WEIGHT_CSV_HEADER) + "\n").encode()
+        while plain and (lines := list(itertools.islice(fh, _BLOCK_ROWS))):
+            data = b"".join(lines)
+            plain = not (b'"' in data or b"\r" in data or b"\0" in data
+                         or len(data) > limit and max(map(len, lines)) > limit)
+            if plain:
+                blocks.append(_plain_columns(data, len(lines), codes, sources))
+        if not plain:  # these lines and the rest of the file go through csv.reader
+            text = io.StringIO(b"".join(lines).decode("utf-8"), newline="")
+            rows = csv.reader(itertools.chain(text, io.TextIOWrapper(fh, "utf-8", newline="")))
+            if not exact_header and next(rows, None) != _WEIGHT_CSV_HEADER:
+                return None
+            while columns := _block_columns(rows, codes, sources):
+                blocks.append(columns)
     n = len(sources)
     if not n or len(codes) != n:
         return None
@@ -290,6 +319,15 @@ def _valid_table(path: str) -> tuple[list[str], np.ndarray] | None:
     return list(sources), matrix.reshape(n, n)
 
 
+def _plain_columns(data: bytes, lines: int, codes, sources):
+    """``_block_columns`` for ``lines`` plain lines, split at every comma
+    and line break at once; a line without two commas raises ValueError."""
+    data = data if data.endswith(b"\n") else data + b"\n"  # the file's last line may lack it
+    if data.translate(None, _NOT_SEPARATORS) != b",,\n" * lines:
+        raise ValueError("a row has not three fields")
+    return _columns(data[:-1].decode("utf-8").replace("\n", ",").split(","), codes, sources)
+
+
 def _block_columns(reader, codes, sources):
     """The next block of rows as source codes, target codes and values,
     None at the end of the file. A row that has not three fields or whose
@@ -301,12 +339,19 @@ def _block_columns(reader, codes, sources):
         return None
     if set(map(len, block)) != {3}:
         raise ValueError("a row has not three fields")
-    fields = list(itertools.chain.from_iterable(block))
+    return _columns(list(itertools.chain.from_iterable(block)), codes, sources)
+
+
+def _columns(fields: list[str], codes, sources):
+    """Id codes (int32, so a pair's columns take 16 bytes) and values of
+    rows given as their fields in row order; ``float`` reads each distinct
+    value text once."""
     srcs, tgts, vals = fields[0::3], fields[1::3], fields[2::3]
-    values = np.fromiter(map(float, vals), np.float64, len(vals))
+    floats = {text: float(text) for text in set(vals)}
     sources.update(dict.fromkeys(srcs))
-    return (np.fromiter(map(codes.__getitem__, srcs), np.int64, len(srcs)),
-            np.fromiter(map(codes.__getitem__, tgts), np.int64, len(tgts)), values)
+    return (np.fromiter(map(codes.__getitem__, srcs), np.int32, len(srcs)),
+            np.fromiter(map(codes.__getitem__, tgts), np.int32, len(tgts)),
+            np.fromiter(map(floats.__getitem__, vals), np.float64, len(vals)))
 
 
 def _raise_first_error(path: str) -> NoReturn:

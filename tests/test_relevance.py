@@ -376,6 +376,158 @@ def test_valid_files_never_reach_the_row_by_row_pass(tmp_path, monkeypatch, bloc
         assert loaded.matrix.tobytes() == table.matrix.tobytes()
 
 
+def refuse_row_by_row(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path} was read row by row")
+
+    monkeypatch.setattr(relevance, "_raise_first_error", refuse)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of ``relevance.<name>`` in the returned list's one item."""
+    calls = [0]
+    original = getattr(relevance, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(relevance, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 2048])
+@pytest.mark.parametrize("last_id", ['q"t', "x,y"])
+def test_hand_off_to_csv_reader_in_mid_file(tmp_path, monkeypatch, block_rows, last_id):
+    """Every id is plain but the last source's, which needs quoting. Plain
+    blocks are split in one pass until the first line that holds it; that
+    line and the rest of the file go to ``csv.reader``. The file reads back
+    bit-identical, whether it is ``to_csv``'s or puts every row of the
+    quoted id last, and never reaches the row-by-row pass."""
+    refuse_row_by_row(monkeypatch)
+    monkeypatch.setattr(relevance, "_BLOCK_ROWS", block_rows)
+    plain_calls = count_calls(monkeypatch, "_plain_columns")
+    reader_calls = count_calls(monkeypatch, "_block_columns")
+    n = 50
+    rng = np.random.default_rng(block_rows)
+    ids = [f"c{k}" for k in range(n - 1)] + [last_id]
+    table = WeightTable(ids, rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.3))
+    written = str(tmp_path / "written.csv")
+    table.to_csv(written)
+    pairs = sorted(((a, b) for a in ids for b in ids), key=lambda pair: last_id in pair)
+    late = str(tmp_path / "quoted_last.csv")
+    with open(late, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["source_id", "target_id", "value"])
+        writer.writerows([a, b, repr(table.get(a, b))] for a, b in pairs)
+    # the rows before the first that holds the quoted id: c0's to it, or all of c0-c48's
+    for path, plain_rows in ((written, n - 1), (late, (n - 1) ** 2)):
+        plain_calls[0] = reader_calls[0] = 0
+        loaded = WeightTable.from_csv(path)
+        assert loaded.ids == ids
+        assert loaded.matrix.tobytes() == table.matrix.tobytes()
+        assert plain_calls[0] == plain_rows // block_rows
+        assert reader_calls[0] >= 1
+
+
+@pytest.mark.parametrize("header, newline", [
+    ('"source_id",target_id,value', "\n"),
+    ("source_id,target_id,value", "\r\n"),
+])
+def test_header_or_line_ends_written_otherwise_read_through_csv_reader(
+        tmp_path, monkeypatch, header, newline):
+    """A quoted header, or ``\\r\\n`` line ends, is still a weight CSV:
+    ``csv.reader`` reads the file, as the row-by-row reader does."""
+    refuse_row_by_row(monkeypatch)
+    plain_calls = count_calls(monkeypatch, "_plain_columns")
+    ids = ["a", "b,c", "d"]
+    table = WeightTable(ids, np.array([[1.0, 0.0, 0.25], [0.5, 1.0, 0.0], [-0.0, 0.1, 1.0]]))
+    reference = io.StringIO()
+    csv.writer(reference, lineterminator=newline).writerows(
+        [a, b, repr(table.get(a, b))] for a in ids for b in ids)
+    path = tmp_path / "weights.csv"
+    path.write_bytes((header + newline + reference.getvalue()).encode("utf-8"))
+    expected_ids, expected = weight_csv_reference(str(path))
+    loaded = WeightTable.from_csv(str(path))
+    assert loaded.ids == expected_ids == ids
+    assert loaded.matrix.tobytes() == expected.tobytes() == table.matrix.tobytes()
+    assert plain_calls[0] == 0
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 2048])
+def test_plain_rows_are_checked_line_by_line(tmp_path, monkeypatch, block_rows):
+    """A 4-field line, then a 2-field line: the block holds two commas per
+    line on average, and split at every comma the fields would fill a
+    valid 2×2 table. The error is the row-by-row reader's."""
+    monkeypatch.setattr(relevance, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "weights.csv"
+    path.write_text("source_id,target_id,value\na,a,1.0\na,b,0.5,b\na,0.25\nb,b,1.0\n")
+    with pytest.raises(ValueError) as expected:
+        weight_csv_reference(str(path))
+    with pytest.raises(RelevanceError) as excinfo:
+        WeightTable.from_csv(str(path))
+    assert str(excinfo.value) == str(expected.value)
+    assert str(excinfo.value).startswith(f"{path}:3: bad row ")
+
+
+@pytest.mark.parametrize("long_id, message", [
+    ("z" * 65, "field larger than field limit (64)"),
+    ("z" * 64, None),
+    ("\u00e9" * 40, None),  # 40 characters in 80 bytes: the limit counts characters
+])
+def test_field_size_limit_applies_as_in_csv_reader(tmp_path, long_id, message):
+    """A valid table with an id near a 64-character field limit: one over
+    it fails at its first line, as in ``csv.reader``; one at it reads back."""
+    table = WeightTable(["a", long_id], np.array([[1.0, 0.5], [0.0, 1.0]]))
+    path = str(tmp_path / "weights.csv")
+    table.to_csv(path)
+    limit = csv.field_size_limit(64)
+    try:
+        if message is None:
+            assert WeightTable.from_csv(path).matrix.tobytes() == table.matrix.tobytes()
+        else:
+            with pytest.raises(RelevanceError) as excinfo:
+                WeightTable.from_csv(path)
+            assert str(excinfo.value) == f"{path}:3: {message}"
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2048])
+@pytest.mark.parametrize("odd_id", ["b\rb", "b\0b"])
+def test_carriage_return_or_nul_read_as_csv_reader_reads_them(tmp_path, monkeypatch,
+                                                              block_rows, odd_id):
+    """An unquoted id with a lone ``\\r``, which ends a ``csv.reader`` row,
+    or a NUL, which ``csv.reader`` rejects before Python 3.11, in an
+    otherwise valid file: the outcome is the row-by-row reader's."""
+    monkeypatch.setattr(relevance, "_BLOCK_ROWS", block_rows)
+    path = str(tmp_path / "weights.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("source_id,target_id,value\n")
+        fh.writelines(f"{a},{b},0.5\n" for a in ("a", odd_id) for b in ("a", odd_id))
+
+    def new_reader(path):
+        table = WeightTable.from_csv(path)
+        return table.ids, table.matrix
+
+    def reference_reader(path):
+        try:
+            return weight_csv_reference(path)
+        except ValueError as exc:
+            raise RelevanceError(str(exc)) from None
+
+    assert read_outcome(new_reader, path) == read_outcome(reference_reader, path)
+
+
+def test_last_line_without_a_line_break_reads_back(tmp_path, monkeypatch):
+    refuse_row_by_row(monkeypatch)
+    path = tmp_path / "weights.csv"
+    path.write_text("source_id,target_id,value\na,a,1.0\na,b,0.5\nb,a,0.0\nb,b,0.25")
+    loaded = WeightTable.from_csv(str(path))
+    assert loaded.ids == ["a", "b"]
+    assert loaded.matrix.tolist() == [[1.0, 0.5], [0.0, 0.25]]
+
+
 def test_reader_names_the_line_after_a_multi_line_id(tmp_path):
     path = tmp_path / "weights.csv"
     path.write_text('source_id,target_id,value\n"a\nb","a\nb",1.0\n"a\nb","a\nb",0.5\n')
@@ -451,6 +603,33 @@ def test_peak_memory_is_near_the_table_itself():
         tracemalloc.stop()
     assert len(table.ids) == 1920
     assert peak <= 1.5 * table.matrix.nbytes
+
+
+def test_csv_round_trip_memory_is_bounded(tmp_path):
+    """``to_csv`` builds one chunk of rows at a time, and ``from_csv``
+    holds int32 id codes and values, 16 bytes a pair, twice at most,
+    before it builds the matrix (480 cases, 1.8 MB of weights). The
+    reader with int64 codes peaked at 6.09× the matrix."""
+    spec = SynthSpec(num_articles=4, branches_per_article=4, vocab_size=200, noise_rate=0.1,
+                     seed=1, cases_per_branch=30)
+    tok = TokenizerConfig()
+    corpus = generate(spec)
+    articles = build_corpus(corpus.article_specs, tok)
+    table = pairwise_weights(corpus.cases, compute_profiles(corpus.cases, articles,
+                                                            build_index(articles, tok)))
+    path = str(tmp_path / "weights.csv")
+    peaks = []
+    for step in (lambda: table.to_csv(path), lambda: WeightTable.from_csv(path)):
+        tracemalloc.start()
+        try:
+            loaded = step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(table.ids) == 480
+    assert loaded.matrix.tobytes() == table.matrix.tobytes()
+    assert peaks[0] <= 4 * 2**20
+    assert peaks[1] <= 5 * table.matrix.nbytes
 
 
 @pytest.mark.parametrize("spec", [
@@ -551,15 +730,17 @@ class TestWeightTableAccessors:
         ``repr`` of its weight, for plain ids and for ids that need quoting,
         are not ASCII or are empty; and ``from_csv`` reads back the same
         table wherever no id holds a lone carriage return, which
-        ``csv.writer`` leaves unquoted."""
+        ``csv.writer`` leaves unquoted. Among exact zeros the table holds
+        ``-0.0``, which keeps its sign, the least subnormal, 1.0 and 0.1."""
         rng = np.random.default_rng(seed)
         plain = [f"c{k}" for k in rng.permutation(7)]
         special = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", "", "\u03a9mega",
                    "caf\u00e9 \u6848", " pad ", '"']
         for ids in (plain, special):
             n = len(ids)
-            table = WeightTable(ids, rng.uniform(0.0, 1.0, (n, n)) ** 3
-                                * (rng.random((n, n)) < 0.7))
+            matrix = rng.uniform(0.0, 1.0, (n, n)) ** 3 * (rng.random((n, n)) < 0.7)
+            matrix[[0, 0, 1, 1, 2], [0, 1, 0, 2, 2]] = [-0.0, 5e-324, 1.0, 0.1, 0.0]
+            table = WeightTable(ids, matrix)
             path = tmp_path / "weights.csv"
             table.to_csv(str(path))
             reference = io.StringIO()
@@ -573,6 +754,7 @@ class TestWeightTableAccessors:
             loaded = WeightTable.from_csv(str(path))
             assert loaded.ids == readable
             assert loaded.matrix.tobytes() == table.matrix.tobytes()
+            assert np.signbit(loaded.matrix[0, 0]) and loaded.matrix[0, 1] == 5e-324
 
 
 class TestWeightTableChecks:
