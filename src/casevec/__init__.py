@@ -64,7 +64,6 @@ from .sampling import (
     SamplingError,
     build_batch,
     class_partition,
-    sample_positive,
     sample_quadruples,
 )
 from .synth import SynthCorpus, SynthError, SynthSpec, generate, write_corpus

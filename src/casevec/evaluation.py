@@ -176,13 +176,15 @@ def ndcg_at_k(ranked: RankedList, qrels: QrelSet, k: int) -> float:
     """Graded NDCG truncated at rank k; 0.0 when no candidate is relevant."""
     if k < 1:
         raise EvaluationError(f"k must be at least 1, got {k}")
+
+    def dcg(grades: list[int]) -> float:
+        return sum((2.0**g - 1.0) / math.log2(r + 2.0) for r, g in enumerate(grades[:k]))
+
     grades = [qrels.grade(ranked.query_id, cid) for cid, _ in ranked.ranking]
-    dcg = sum((2.0**g - 1.0) / math.log2(r + 2.0) for r, g in enumerate(grades[:k]))
-    ideal = sorted(grades, reverse=True)
-    idcg = sum((2.0**g - 1.0) / math.log2(r + 2.0) for r, g in enumerate(ideal[:k]))
+    idcg = dcg(sorted(grades, reverse=True))
     if idcg == 0.0:
         return 0.0
-    return dcg / idcg
+    return dcg(grades) / idcg
 
 
 def evaluate(

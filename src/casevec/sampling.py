@@ -48,26 +48,6 @@ class BatchPartition:
     labels: list[int]
 
 
-def sample_positive(
-    anchor_id: str,
-    table: WeightTable,
-    rng: np.random.Generator,
-    floor: float = DEFAULT_POSITIVE_FLOOR,
-    exclude: set[str] | None = None,
-) -> tuple[str, float]:
-    """Draw a positive for the anchor, proportional to weight.
-
-    Only cases with weight >= floor are eligible; ``exclude`` removes ids
-    already used in the batch. Candidates keep the order of ``table.ids``,
-    so the draw is deterministic for a given generator state.
-    """
-    i = table.position(anchor_id)
-    used = np.zeros(len(table.ids), dtype=bool)
-    used[[table.position(cid) for cid in exclude or () if cid in table]] = True
-    j, w = _draw_positive(table.positive_index(floor), i, anchor_id, used, rng)
-    return table.ids[j], w
-
-
 def _draw_positive(
     index: PositiveIndex, i: int, anchor_id: str, used: np.ndarray, rng: np.random.Generator
 ) -> tuple[int, float]:

@@ -25,7 +25,7 @@ from casevec.relevance import (
     save_cases,
     weight,
 )
-from casevec.sampling import build_batch, class_partition, sample_quadruples
+from casevec.sampling import Quadruple, build_batch, class_partition, sample_quadruples
 from casevec.synth import SynthSpec, generate
 from casevec.text import TokenizerConfig
 
@@ -607,9 +607,10 @@ def test_peak_memory_is_near_the_table_itself():
 
 def test_csv_round_trip_memory_is_bounded(tmp_path):
     """``to_csv`` builds one chunk of rows at a time, and ``from_csv``
-    holds int32 id codes and values, 16 bytes a pair, twice at most,
-    before it builds the matrix (480 cases, 1.8 MB of weights). The
-    reader with int64 codes peaked at 6.09× the matrix."""
+    holds int32 id codes and values, 16 bytes a pair, once, dropping each
+    block as it fills the matrix (480 cases, 1.8 MB of weights). The
+    reader peaked at 6.09× the matrix with int64 codes and at 4.21× when
+    it joined the blocks before filling it; now 3.26×."""
     spec = SynthSpec(num_articles=4, branches_per_article=4, vocab_size=200, noise_rate=0.1,
                      seed=1, cases_per_branch=30)
     tok = TokenizerConfig()
@@ -629,7 +630,7 @@ def test_csv_round_trip_memory_is_bounded(tmp_path):
     assert len(table.ids) == 480
     assert loaded.matrix.tobytes() == table.matrix.tobytes()
     assert peaks[0] <= 4 * 2**20
-    assert peaks[1] <= 5 * table.matrix.nbytes
+    assert peaks[1] <= 4 * table.matrix.nbytes
 
 
 @pytest.mark.parametrize("spec", [
@@ -668,8 +669,20 @@ def random_table(seed, n=9):
 FLOORS = [0.0, 0.3, 0.5, 1.0]
 
 
+def positives(table, anchor, floor):
+    """The ids and weights of ``anchor``'s positives in the index at ``floor``."""
+    targets, weights = table.positive_index(floor).row(table.ids.index(anchor))
+    return [table.ids[j] for j in targets.tolist()], weights.tolist()
+
+
+def anchors(table, floor):
+    """The ids of the index's anchors at ``floor``."""
+    index = table.positive_index(floor)
+    return [table.ids[i] for i in index.anchors.tolist()]
+
+
 class TestWeightTableAccessors:
-    """``block``, ``positives`` and ``anchors`` against loops over ``get``."""
+    """``block`` and the positive index against loops over ``get``."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_matches_get(self, seed):
@@ -687,8 +700,7 @@ class TestWeightTableAccessors:
             for anchor in table.ids:
                 expected = [(other, table.get(anchor, other)) for other in table.ids
                             if other != anchor and table.get(anchor, other) >= floor]
-                ids, weights = table.positives(anchor, floor)
-                assert list(zip(ids, weights.tolist())) == expected
+                assert list(zip(*positives(table, anchor, floor))) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_anchors_match_get(self, seed):
@@ -696,33 +708,34 @@ class TestWeightTableAccessors:
         for floor in FLOORS:
             expected = [a for a in table.ids
                         if any(b != a and table.get(a, b) >= floor for b in table.ids)]
-            assert table.anchors(floor) == expected
+            assert anchors(table, floor) == expected
 
     def test_anchor_is_never_its_own_positive(self):
         table = WeightTable(["x", "y"], np.array([[1.0, 0.2], [0.0, 1.0]]))
-        assert table.positives("x", 0.5)[0] == []
-        assert table.positives("x", 0.2)[0] == ["y"]
-        assert table.anchors(0.5) == []
+        assert positives(table, "x", 0.5)[0] == []
+        assert positives(table, "x", 0.2)[0] == ["y"]
+        assert anchors(table, 0.5) == []
 
     def test_weight_equal_to_the_floor_counts(self):
         table = WeightTable(["x", "y"], np.array([[0.0, 0.5], [0.4, 0.0]]))
-        ids, weights = table.positives("x", 0.5)
-        assert ids == ["y"] and weights.tolist() == [0.5]
-        assert table.positives("x", np.nextafter(0.5, 1.0))[0] == []
-        assert table.anchors(0.5) == ["x"]
-        assert table.anchors(0.4) == ["x", "y"]
+        assert positives(table, "x", 0.5) == (["y"], [0.5])
+        assert positives(table, "x", np.nextafter(0.5, 1.0))[0] == []
+        assert anchors(table, 0.5) == ["x"]
+        assert anchors(table, 0.4) == ["x", "y"]
 
     def test_table_order_not_sorted_order(self):
         table = WeightTable(["z", "a", "m"], np.full((3, 3), 0.9))
-        assert table.positives("m", 0.5)[0] == ["z", "a"]
-        assert table.anchors(0.5) == ["z", "a", "m"]
+        assert positives(table, "m", 0.5)[0] == ["z", "a"]
+        assert anchors(table, 0.5) == ["z", "a", "m"]
 
     def test_unknown_id_raises_key_error(self):
         table = random_table(0)
         with pytest.raises(KeyError):
             table.block([table.ids[0], "nope"])
         with pytest.raises(KeyError):
-            table.positives("nope", 0.5)
+            table.block(["nope"])
+        with pytest.raises(KeyError):
+            table.get(table.ids[0], "nope")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_csv_bytes_match_reference(self, tmp_path, seed):
@@ -784,13 +797,11 @@ class TestWeightTableChecks:
 
 
 class TestPositiveIndex:
-    """The per-floor index behind ``positives``, ``anchors`` and sampling."""
+    """The per-floor index the sampler reads."""
 
     def test_built_once_per_floor(self):
         table = random_table(1)
         index = table.positive_index(0.5)
-        table.positives(table.ids[0], 0.5)
-        table.anchors(0.5)
         sample_quadruples(table, 1, np.random.default_rng(0), floor=0.5)
         again = table.positive_index(0.5)
         assert again is index
@@ -810,14 +821,25 @@ class TestPositiveIndex:
                 expected = [(j, table.get(anchor, other)) for j, other in enumerate(table.ids)
                             if j != i and table.get(anchor, other) >= floor]
                 assert list(zip(targets.tolist(), weights.tolist())) == expected
-            assert [table.ids[i] for i in index.anchors] == table.anchors(floor)
+            assert index.anchors.tolist() == [i for i in range(len(table.ids))
+                                              if len(index.row(i)[0])]
 
-    def test_positions(self):
-        table = WeightTable(["z", "a", "m"], np.full((3, 3), 0.9))
-        assert [table.position(cid) for cid in ("z", "a", "m")] == [0, 1, 2]
-        assert "a" in table and "nope" not in table
-        with pytest.raises(KeyError):
-            table.position("nope")
+    @pytest.mark.parametrize("floor", [0.3, 0.5, 1.0])
+    def test_weight_at_the_floor_counts_and_a_zero_row_is_no_anchor(self, floor):
+        """A weight exactly at the floor is a positive, one a step below it
+        is not; a row of zeros, off the diagonal or everywhere, has none."""
+        matrix = np.array([[1.0, floor, np.nextafter(floor, 0.0)],
+                           [0.0, 1.0, 0.0],
+                           [0.0, 0.0, 0.0]])
+        table = WeightTable(["a", "b", "c"], matrix)
+        index = table.positive_index(floor)
+        assert index.anchors.tolist() == [0]
+        assert [(t.tolist(), w.tolist()) for t, w in map(index.row, range(3))] == [
+            ([1], [floor]), ([], []), ([], [])]
+        assert table.positive_index(np.nextafter(floor, 2.0)).anchors.tolist() == []
+        for seed in range(5):
+            assert sample_quadruples(table, 1, np.random.default_rng(seed), floor=floor) == [
+                Quadruple("a", "b", floor)]
 
 
 def test_only_relevance_reads_the_weight_matrix():

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from casevec.relevance import WeightTable
 from casevec.sampling import (
+    DEFAULT_POSITIVE_FLOOR,
     NoPositiveAvailable,
     Quadruple,
     SamplingError,
+    _draw_positive,
     build_batch,
     class_partition,
-    sample_positive,
     sample_quadruples,
 )
 
@@ -27,12 +28,23 @@ def table_of(matrix, ids=None):
     return WeightTable(ids, matrix)
 
 
+def draw_positive(anchor_id, table, rng, floor=DEFAULT_POSITIVE_FLOOR, exclude=()):
+    """One positive of ``anchor_id`` drawn by ``_draw_positive`` from the
+    table's index at ``floor``, never one of ``exclude``, as its id and
+    weight: the draw ``sample_quadruples`` makes for each anchor."""
+    position = {cid: i for i, cid in enumerate(table.ids)}
+    used = np.zeros(len(table.ids), dtype=bool)
+    used[[position[cid] for cid in exclude]] = True
+    j, w = _draw_positive(table.positive_index(floor), position[anchor_id], anchor_id, used, rng)
+    return table.ids[j], w
+
+
 class TestSamplePositive:
     def test_single_eligible_always_returned(self):
         table = table_of([[1.0, 0.9, 0.1], [0.9, 1.0, 0.0], [0.1, 0.0, 1.0]])
         rng = np.random.default_rng(0)
         for _ in range(10):
-            cid, w = sample_positive("c0", table, rng)
+            cid, w = draw_positive("c0", table, rng)
             assert cid == "c1"
             assert w == 0.9
 
@@ -43,46 +55,46 @@ class TestSamplePositive:
         rng = np.random.default_rng(2024)
         picks = {"c1": 0, "c2": 0}
         for _ in range(10000):
-            cid, _ = sample_positive("c0", table, rng)
+            cid, _ = draw_positive("c0", table, rng)
             picks[cid] += 1
         ratio = picks["c1"] / picks["c2"]
         assert 2.0 * 0.95 <= ratio <= 2.0 * 1.05
 
     def test_all_zero_weights_error(self):
         table = table_of([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(NoPositiveAvailable):
-            sample_positive("c0", table, np.random.default_rng(0))
+        with pytest.raises(NoPositiveAvailable, match="no positive available"):
+            draw_positive("c0", table, np.random.default_rng(0))
+        with pytest.raises(NoPositiveAvailable, match="all candidate weights are zero"):
+            draw_positive("c0", table, np.random.default_rng(0), floor=0.0)
 
     def test_below_floor_excluded(self):
         table = table_of([[1.0, 0.4], [0.4, 1.0]])
         with pytest.raises(NoPositiveAvailable):
-            sample_positive("c0", table, np.random.default_rng(0), floor=0.5)
-        cid, _ = sample_positive("c0", table, np.random.default_rng(0), floor=0.3)
+            draw_positive("c0", table, np.random.default_rng(0), floor=0.5)
+        cid, _ = draw_positive("c0", table, np.random.default_rng(0), floor=0.3)
         assert cid == "c1"
 
     def test_deterministic_for_seed(self):
         table = table_of(np.full((6, 6), 0.8))
-        a = [sample_positive("c0", table, np.random.default_rng(7))[0] for _ in range(5)]
-        b = [sample_positive("c0", table, np.random.default_rng(7))[0] for _ in range(5)]
+        a = [draw_positive("c0", table, np.random.default_rng(7))[0] for _ in range(5)]
+        b = [draw_positive("c0", table, np.random.default_rng(7))[0] for _ in range(5)]
         assert a == b
 
     def test_anchor_never_returned(self):
         table = table_of(np.full((4, 4), 1.0))
         rng = np.random.default_rng(1)
-        assert all(sample_positive("c2", table, rng)[0] != "c2" for _ in range(50))
+        assert all(draw_positive("c2", table, rng)[0] != "c2" for _ in range(50))
 
-    def test_exclude_may_hold_unknown_ids(self):
-        """Ids in ``exclude`` that the table lacks change nothing."""
+    def test_used_cases_are_never_drawn(self):
+        """Cases already in the batch are skipped; with every positive used
+        up, the draw fails."""
         table = table_of([[1.0, 0.9, 0.6, 0.7], [0.9, 1.0, 0.0, 0.0],
                           [0.6, 0.0, 1.0, 0.0], [0.7, 0.0, 0.0, 1.0]])
         for seed in range(20):
-            expected = sample_positive("c0", table, np.random.default_rng(seed), exclude={"c1"})
-            got = sample_positive("c0", table, np.random.default_rng(seed),
-                                  exclude={"c1", "zz"})
-            assert got == expected
-            assert got[0] in {"c2", "c3"}
+            assert draw_positive("c0", table, np.random.default_rng(seed),
+                                 exclude={"c1"})[0] in {"c2", "c3"}
         with pytest.raises(NoPositiveAvailable):
-            sample_positive("c0", table, np.random.default_rng(0), exclude={"c1", "c2", "c3", "zz"})
+            draw_positive("c0", table, np.random.default_rng(0), exclude={"c1", "c2", "c3"})
 
 
 def weight_vectors(count, seed):
@@ -124,7 +136,7 @@ class TestDrawPinnedToChoice:
             k = len(weights)
             matrix = np.zeros((k + 1, k + 1))
             matrix[0, 1:] = weights
-            got = sample_positive("c0", table_of(matrix), rng, floor=0.0)
+            got = draw_positive("c0", table_of(matrix), rng, floor=0.0)
             pick = int(twin.choice(k, p=weights / weights.sum()))
             assert got == (f"c{pick + 1}", float(weights[pick]))
             assert rng.bit_generator.state == twin.bit_generator.state
@@ -141,25 +153,11 @@ class TestDrawPinnedToChoice:
             hits += 1
             matrix = np.zeros((3, 3))
             matrix[0, 1:] = weights
-            got = sample_positive("c0", table_of(matrix), np.random.default_rng(seed), floor=0.0)
+            got = draw_positive("c0", table_of(matrix), np.random.default_rng(seed), floor=0.0)
             assert got == ("c2", 1.0 - u)
             twin = np.random.default_rng(seed)
             assert int(twin.choice(2, p=weights)) == 1
         assert hits >= 10
-
-    def test_returned_weights_are_a_copy(self):
-        """Writing into the weights ``positives`` returns changes no draw."""
-        rng = np.random.default_rng(4)
-        matrix = rng.uniform(0.0, 1.0, (10, 10))
-        table, twin = table_of(matrix), table_of(matrix.copy())
-        for anchor in table.ids:
-            table.positives(anchor, 0.3)[1][:] = 0.0
-        for seed in range(10):
-            assert (sample_quadruples(table, 3, np.random.default_rng(seed), floor=0.3)
-                    == sample_quadruples(twin, 3, np.random.default_rng(seed), floor=0.3))
-            assert (sample_positive("c0", table, np.random.default_rng(seed), 0.3, {"c1"})
-                    == sample_positive("c0", twin, np.random.default_rng(seed), 0.3, {"c1"}))
-        assert table.positives("c0", 0.3)[1].tolist() == twin.positives("c0", 0.3)[1].tolist()
 
 
 def quad(a, p, w=1.0):
