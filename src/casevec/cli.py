@@ -2,10 +2,12 @@
 
 Subcommands cover the full flow: gen-corpus, expand-articles, weights,
 sample, pretrain, rank, evaluate, export-embeddings. Option precedence
-is CLI flag over --config file over built-in default, and the effective
-configuration is echoed next to each command's output for provenance.
-All randomness is governed by --seed; outputs carry no timestamps, so
-identical inputs and seed give identical bytes.
+is CLI flag over --config file over built-in default. Once a command has
+written its outputs, ``main`` echoes the effective configuration next to
+them as ``<command>.config.json`` for provenance and prints the command's
+one-line summary; a failed command exits 2 with one ``error:`` line and
+writes no echo. All randomness is governed by --seed; outputs carry no
+timestamps, so identical inputs and seed give identical bytes.
 """
 
 from __future__ import annotations
@@ -245,22 +247,16 @@ def _echo_config(command: str, options: dict, primary_out: str) -> None:
 # subcommands
 
 
-def _cmd_gen_corpus(args) -> int:
-    opts = _effective(args)
+def _cmd_gen_corpus(args, opts) -> str:
     corpus = generate(_build(SynthSpec, args, opts))
     write_corpus(corpus, args.out)
-    _echo_config("gen-corpus", opts, args.out)
-    print(f"wrote {len(corpus.cases)} cases, {len(corpus.queries)} queries to {args.out}")
-    return 0
+    return f"wrote {len(corpus.cases)} cases, {len(corpus.queries)} queries to {args.out}"
 
 
-def _cmd_expand_articles(args) -> int:
-    opts = _effective(args)
+def _cmd_expand_articles(args, opts) -> str:
     corpus = build_corpus(load_article_specs(args.articles), _build(TokenizerConfig, args, opts))
     write_json_lines(_in_new_dirs(args.out), map(asdict, corpus.branches))
-    _echo_config("expand-articles", opts, args.out)
-    print(f"expanded {len(corpus.by_article)} articles into {len(corpus)} branches")
-    return 0
+    return f"expanded {len(corpus.by_article)} articles into {len(corpus)} branches"
 
 
 def _weight_table(args, opts, tok):
@@ -271,17 +267,13 @@ def _weight_table(args, opts, tok):
     return corpus, cases, pairwise_weights(cases, compute_profiles(cases, corpus, index))
 
 
-def _cmd_weights(args) -> int:
-    opts = _effective(args)
+def _cmd_weights(args, opts) -> str:
     _, _, table = _weight_table(args, opts, _build(TokenizerConfig, args, opts))
     table.to_csv(_in_new_dirs(args.out))
-    _echo_config("weights", opts, args.out)
-    print(f"wrote {len(table.ids)}x{len(table.ids)} weight table to {args.out}")
-    return 0
+    return f"wrote {len(table.ids)}x{len(table.ids)} weight table to {args.out}"
 
 
-def _cmd_sample(args) -> int:
-    opts = _effective(args)
+def _cmd_sample(args, opts) -> str:
     if opts["num_batches"] < 1:
         raise CliError(f"--num-batches must be at least 1, got {opts['num_batches']}")
     table = WeightTable.from_csv(args.weights)
@@ -303,13 +295,10 @@ def _cmd_sample(args) -> int:
     # every batch is drawn before --out is opened, so a failed draw leaves
     # an existing manifest as it was
     write_json_lines(_in_new_dirs(args.out), batches)
-    _echo_config("sample", opts, args.out)
-    print(f"wrote {opts['num_batches']} batch manifests to {args.out}")
-    return 0
+    return f"wrote {opts['num_batches']} batch manifests to {args.out}"
 
 
-def _cmd_pretrain(args) -> int:
-    opts = _effective(args)
+def _cmd_pretrain(args, opts) -> str:
     if opts["steps"] < 1:
         raise CliError(f"--steps must be at least 1, got {opts['steps']}")
     tok = _build(TokenizerConfig, args, opts)
@@ -336,12 +325,10 @@ def _cmd_pretrain(args) -> int:
     vocab.save(os.path.join(args.out, "vocab.txt"))
     log.to_jsonl(os.path.join(args.out, "trainlog.jsonl"))
     table.to_csv(os.path.join(args.out, "weights.csv"))
-    _echo_config("pretrain", opts, args.out)
     first, last = log.steps[0], log.steps[-1]
     count = len(log.steps)
-    print(f"trained {count} step{'s' if count != 1 else ''}: "
-          f"total loss {first.total_loss:.4f} -> {last.total_loss:.4f}")
-    return 0
+    return (f"trained {count} step{'s' if count != 1 else ''}: "
+            f"total loss {first.total_loss:.4f} -> {last.total_loss:.4f}")
 
 
 def _load_encoder(args):
@@ -354,8 +341,7 @@ def _load_encoder(args):
     return params, enc_cfg, vocab
 
 
-def _cmd_rank(args) -> int:
-    opts = _effective(args)
+def _cmd_rank(args, opts) -> str:
     params, enc_cfg, vocab = _load_encoder(args)
     tok = _build(TokenizerConfig, args, opts)
     queries = load_queries(args.queries)
@@ -366,13 +352,10 @@ def _cmd_rank(args) -> int:
         for q in queries
     ]
     save_run(runs, _in_new_dirs(args.out))
-    _echo_config("rank", opts, args.out)
-    print(f"ranked {len(candidates)} candidates for {len(queries)} queries into {args.out}")
-    return 0
+    return f"ranked {len(candidates)} candidates for {len(queries)} queries into {args.out}"
 
 
-def _cmd_evaluate(args) -> int:
-    opts = _effective(args)
+def _cmd_evaluate(args, opts) -> str:
     runs = load_run(args.run)
     qrels = QrelSet.from_tsv(args.qrels)
     try:
@@ -381,22 +364,17 @@ def _cmd_evaluate(args) -> int:
         raise CliError(f"--ks must be comma-separated integers, got {opts['ks']!r}") from None
     metrics = evaluate(runs, qrels, ks=ks, skip_unjudged=opts["skip_unjudged"])
     save_metrics(metrics, _in_new_dirs(args.out))
-    _echo_config("evaluate", opts, args.out)
     means = {k: round(v["mean"], 6) for k, v in metrics.items()}
-    print(f"metrics {means} written to {args.out}")
-    return 0
+    return f"metrics {means} written to {args.out}"
 
 
-def _cmd_export_embeddings(args) -> int:
-    opts = _effective(args)
+def _cmd_export_embeddings(args, opts) -> str:
     params, enc_cfg, vocab = _load_encoder(args)
     cases = load_cases(args.cases)
     labels = load_labels(args.labels) if args.labels else None
     export_embeddings(cases, params, enc_cfg, vocab, _build(TokenizerConfig, args, opts),
                       _in_new_dirs(args.out), projection=opts["projection"], labels=labels)
-    _echo_config("export-embeddings", opts, args.out)
-    print(f"exported {len(cases)} embeddings ({opts['projection']}) to {args.out}")
-    return 0
+    return f"exported {len(cases)} embeddings ({opts['projection']}) to {args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +453,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        opts = _effective(args)
+        summary = args.fn(args, opts)
+        _echo_config(args.command, opts, args.out)
+        print(summary)
+        return 0
     except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

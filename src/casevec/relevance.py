@@ -290,19 +290,19 @@ def _valid_table(path: str) -> tuple[list[str], np.ndarray] | None:
     # every id is a source: renumber the codes in source order
     position = np.empty(n, dtype=np.int64)
     position[np.fromiter(map(codes.__getitem__, sources), np.int64, n)] = np.arange(n)
-    filled = np.zeros(n * n, dtype=bool)
-    matrix = np.empty(n * n, dtype=np.float64)
+    # a pair that no row fills stays NaN, which WeightTable's range check
+    # rejects, so from_csv reads the file again row by row
+    matrix = np.full(n * n, np.nan)
     rows = 0
     for k in range(len(blocks)):
         # each block is freed once placed and the columns are never joined,
-        # so no copy of them is made (peak 3.25× the matrix at N=480)
+        # so no copy of them is made (peak 3.13× the matrix at N=480)
         src, tgt, values = blocks[k]
         blocks[k] = None
         flat = position[src] * n + position[tgt]
-        filled[flat] = True
         matrix[flat] = values
         rows += len(flat)
-    if rows != n * n or not filled.all():  # some pair repeats or is missing
+    if rows != n * n:  # some pair repeats or is missing
         return None
     return list(sources), matrix.reshape(n, n)
 

@@ -69,11 +69,9 @@ class TrainConfig:
             raise TrainingError("batch_quadruples must be at least 1")
         if self.learning_rate <= 0:
             raise TrainingError("learning_rate must be positive")
-        if self.grad_clip < 0:
-            raise TrainingError(f"grad_clip must not be negative, got {self.grad_clip}")
-        if self.checkpoint_every < 0:
-            raise TrainingError(
-                f"checkpoint_every must not be negative, got {self.checkpoint_every}")
+        for name in ("grad_clip", "checkpoint_every", "steps"):
+            if getattr(self, name) < 0:
+                raise TrainingError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
 # Fields a resumed run may change: how far it runs and where it writes

@@ -1,7 +1,10 @@
 """CLI subcommands end to end on temporary directories."""
 
+import argparse
+import ast
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,14 @@ def run_cli(*argv):
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def registered_dests(command):
+    """The dests of the option flags that ``command``'s parser registers:
+    each has no parser default, so only a flag given sets it."""
+    sub = next(a for a in build_parser()._actions if a.choices and command in a.choices)
+    return {a.dest for a in sub.choices[command]._actions
+            if a.default is argparse.SUPPRESS and a.dest != "help"}
 
 
 @pytest.fixture
@@ -85,17 +96,22 @@ class TestPipeline:
                        "--out", str(emb2d), "--projection", "pca2d") == 0
         assert emb2d.read_text().splitlines()[0] == "case_id,label,x,y"
 
-    def test_every_writer_creates_the_directories_of_its_out(self, tmp_path, corpus_dir):
+    def test_every_writer_creates_the_directories_of_its_out(self, tmp_path, corpus_dir,
+                                                             capsys):
+        """Each of the eight commands writes its outputs, in new directories,
+        echoes every option it registers next to them and prints one line."""
         def out(command, name):
             return tmp_path / command / "new" / "sub" / name
 
         run_dir = out("pretrain", "run")
-        assert pretrain(corpus_dir, run_dir) == 0
         encoder = ["--checkpoint", str(run_dir / "encoder.params"),
                    "--vocab", str(run_dir / "vocab.txt")]
         corpus = {name: str(corpus_dir / name)
                   for name in ("articles.json", "cases.jsonl", "queries.jsonl", "qrels.tsv")}
         commands = [
+            ("gen-corpus", "corpus", ["--cases-per-branch", "2", "--queries-per-branch", "1"]),
+            ("pretrain", "run", ["--articles", corpus["articles.json"],
+                                 "--cases", corpus["cases.jsonl"], *PRETRAIN_SMALL]),
             ("expand-articles", "branches.jsonl", ["--articles", corpus["articles.json"]]),
             ("weights", "weights.csv",
              ["--articles", corpus["articles.json"], "--cases", corpus["cases.jsonl"]]),
@@ -106,12 +122,20 @@ class TestPipeline:
              ["--run", str(out("rank", "run.tsv")), "--qrels", corpus["qrels.tsv"]]),
             ("export-embeddings", "emb.csv", encoder + ["--cases", corpus["cases.jsonl"]]),
         ]
+        capsys.readouterr()
         for command, name, argv in commands:
             path = out(command, name)
             assert run_cli(command, *argv, "--out", str(path)) == 0, command
-            assert path.stat().st_size > 0
-            echo = json.loads((path.parent / f"{command}.config.json").read_text())
+            if path.is_dir():  # the echo and at least one output
+                echo_dir = path
+                assert len(list(path.iterdir())) > 1, command
+            else:
+                echo_dir = path.parent
+                assert path.stat().st_size > 0, command
+            echo = json.loads((echo_dir / f"{command}.config.json").read_text())
             assert echo["command"] == command
+            assert set(echo["options"]) == registered_dests(command), command
+            assert len(capsys.readouterr().out.splitlines()) == 1, command
 
     def test_expand_articles(self, tmp_path, corpus_dir):
         out = tmp_path / "branches.jsonl"
@@ -386,6 +410,59 @@ class TestNonFiniteSettings:
                        "--batch-quadruples", "100") == 2
         assert "cannot draw 100 anchors" in capsys.readouterr().err
         assert manifest.read_text() == "existing"
+
+
+class TestFailedCommand:
+    """A command that fails exits 2 with one ``error:`` line, prints no
+    summary and leaves its --out directory empty: no output and no echo."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--weights", "WEIGHTS", "--num-batches", "0"],
+         "--num-batches must be at least 1, got 0"),
+        (["weights", "--articles", "ARTICLES", "--cases", "CASES", "--config", "CONFIG"],
+         "CONFIG: unknown config keys ['zap']"),
+        (["pretrain", "--articles", "ARTICLES", "--cases", "CASES", *PRETRAIN_SMALL,
+          "--steps", "0"], "--steps must be at least 1, got 0"),
+    ], ids=["sample-zero-batches", "weights-unknown-config-key", "pretrain-zero-steps"])
+    def test_exits_2_with_one_error_line_and_no_echo(self, tmp_path, corpus_dir, capsys,
+                                                     argv, message):
+        weights = tmp_path / "table" / "w.csv"
+        assert run_cli("weights", "--articles", str(corpus_dir / "articles.json"),
+                       "--cases", str(corpus_dir / "cases.jsonl"), "--out", str(weights)) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text('{"zap": 1}')
+        paths = {"WEIGHTS": str(weights), "ARTICLES": str(corpus_dir / "articles.json"),
+                 "CASES": str(corpus_dir / "cases.jsonl"), "CONFIG": str(config)}
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run_cli(*[paths.get(arg, arg) for arg in argv], "--out", str(out / "result")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.replace('CONFIG', str(config))}\n"
+        assert list(out.iterdir()) == []
+
+
+def test_only_cli_main_prints():
+    """Every ``print`` of the package is in ``cli.main``, which prints a
+    command's summary line or its error."""
+    package = Path(cli.__file__).parent
+    outside, in_main = [], 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            main_def = next(node for node in tree.body
+                            if isinstance(node, ast.FunctionDef) and node.name == "main")
+            allowed = {id(node) for node in ast.walk(main_def)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "print":
+                if id(node) in allowed:
+                    in_main += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert in_main == 2
 
 
 class TestCountsBelowMinimum:

@@ -610,7 +610,8 @@ def test_csv_round_trip_memory_is_bounded(tmp_path):
     holds int32 id codes and values, 16 bytes a pair, once, dropping each
     block as it fills the matrix (480 cases, 1.8 MB of weights). The
     reader peaked at 6.09× the matrix with int64 codes and at 4.21× when
-    it joined the blocks before filling it; now 3.26×."""
+    it joined the blocks before filling it, 3.26× with a mask of the
+    filled pairs; now 3.13×."""
     spec = SynthSpec(num_articles=4, branches_per_article=4, vocab_size=200, noise_rate=0.1,
                      seed=1, cases_per_branch=30)
     tok = TokenizerConfig()

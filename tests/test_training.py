@@ -375,3 +375,8 @@ class TestConfigValidation:
         with pytest.raises(TrainingError, match="checkpoint_every must not be negative, got -1"):
             TrainConfig(checkpoint_every=-1)
         assert TrainConfig(checkpoint_every=0).checkpoint_every == 0
+
+    def test_steps_not_negative(self):
+        with pytest.raises(TrainingError, match="steps must not be negative, got -1"):
+            TrainConfig(steps=-1)
+        assert TrainConfig(steps=0).steps == 0
