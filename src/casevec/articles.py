@@ -133,8 +133,8 @@ def load_article_specs(path: str) -> list[ArticleSpec]:
     """Load article specs from a JSON file.
 
     The file holds ``{"articles": [{"article_id": ..., "acts": [[[phrase,
-    ...], ...], ...]}, ...]}`` in UTF-8. Errors carry line or field
-    diagnostics.
+    ...], ...], ...]}, ...]}`` in UTF-8, article ids distinct. Errors
+    carry line or field diagnostics.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -150,7 +150,14 @@ def load_article_specs(path: str) -> list[ArticleSpec]:
     items = doc["articles"]
     if not isinstance(items, list):
         raise ArticleSpecError(f"{path}: 'articles' must be a list")
-    return [_spec_from_obj(obj, f"{path}: articles[{i}]") for i, obj in enumerate(items)]
+    specs: dict[str, ArticleSpec] = {}
+    for i, obj in enumerate(items):
+        spec = _spec_from_obj(obj, f"{path}: articles[{i}]")
+        if spec.article_id in specs:
+            raise ArticleSpecError(
+                f"{path}: articles[{i}]: duplicate article_id {spec.article_id!r}")
+        specs[spec.article_id] = spec
+    return list(specs.values())
 
 
 def save_article_specs(specs: list[ArticleSpec], path: str) -> None:

@@ -262,7 +262,7 @@ def _cmd_expand_articles(args, opts) -> str:
 def _weight_table(args, opts, tok):
     """Branch corpus, cases and their weight table from --articles and --cases."""
     corpus = build_corpus(load_article_specs(args.articles), tok)
-    cases = load_citing_cases(args.cases, args.articles, corpus.by_article)
+    cases = load_citing_cases(args.cases, args.articles, corpus.by_article, tok)
     index = build_index(corpus, tok, k1=opts["k1"], b=opts["b"])
     return corpus, cases, pairwise_weights(cases, compute_profiles(cases, corpus, index))
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .files import decode_error, open_output
+from .files import claim, decode_error, open_output
 
 LOGGER = logging.getLogger(__name__)
 
@@ -82,9 +82,7 @@ class Vocab:
                                f"{SPECIAL_TOKENS[len(lines)]!r}, got the end of the file")
         first_line: dict[str, int] = {}
         for n, tok in lines:
-            if tok in first_line:
-                raise EncoderError(f"{path}:{n}: token {tok!r} repeats line {first_line[tok]}")
-            first_line[tok] = n
+            claim(first_line, tok, path, n, EncoderError, "token")
         return cls([tok for _, tok in lines])
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import encoder as enc
 from .circle_loss import unit_rows
-from .files import open_output, read_json_objects, read_rows, write_json_lines, write_rows
+from .files import claim, open_output, read_json_objects, read_rows, write_json_lines, write_rows
 from .relevance import CaseDocument
 from .text import TokenizerConfig, tokenize
 
@@ -50,15 +50,6 @@ class CandidatePool:
         ids = [c.case_id for c in self.candidates]
         if len(set(ids)) != len(ids):
             raise EvaluationError(f"query {self.query_id!r}: duplicate candidate ids")
-
-
-def _claim_pair(pair: tuple[str, str], first_line: dict, path: str, lineno: int) -> None:
-    """Record the line of a (query, case) pair, which may appear only once
-    in a qrels or run file."""
-    if pair in first_line:
-        raise EvaluationError(
-            f"{path}:{lineno}: repeated pair {pair}, first at line {first_line[pair]}")
-    first_line[pair] = lineno
 
 
 class QrelSet:
@@ -98,7 +89,7 @@ class QrelSet:
             pair = (row[0], row[1])
             if grade < 0:
                 raise EvaluationError(f"{path}:{lineno}: negative grade {grade} for {pair}")
-            _claim_pair(pair, first_line, path, lineno)
+            claim(first_line, pair, path, lineno, EvaluationError, "pair")
             grades[pair] = grade
         return cls(grades)
 
@@ -295,10 +286,7 @@ def load_queries(path: str) -> list[QueryCase]:
             query.validate()
         except EvaluationError as exc:
             raise EvaluationError(f"{path}:{lineno}: {exc}") from None
-        if query.query_id in first_line:
-            raise EvaluationError(f"{path}:{lineno}: query_id {query.query_id!r} repeats line "
-                                  f"{first_line[query.query_id]}")
-        first_line[query.query_id] = lineno
+        claim(first_line, query.query_id, path, lineno, EvaluationError, "query_id")
         queries.append(query)
     if not queries:
         raise EvaluationError(f"{path}: holds no query")
@@ -330,7 +318,7 @@ def load_run(path: str) -> list[RankedList]:
             entry = (int(position), cid, float(score))
         except ValueError as exc:
             raise EvaluationError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
-        _claim_pair((qid, cid), first_line, path, lineno)
+        claim(first_line, (qid, cid), path, lineno, EvaluationError, "pair")
         by_query.setdefault(qid, []).append(entry)
     return [RankedList(query_id=qid, ranking=[(cid, score) for _, cid, score in sorted(entries)])
             for qid, entries in by_query.items()]

@@ -10,6 +10,12 @@ it. The weight table's reader in ``relevance`` parses a valid file a block
 of rows at a time and reads a file it rejects again through ``read_rows``,
 which locates the first error.
 
+A key a file may hold only once (a case id, a query id, a token, a
+(query, case) pair) is checked with ``claim``; a repeat raises
+``<path>:<line>: <what> <key> repeats line <first line>``, the key as its
+``repr``. The weight CSV's row-by-row reader keeps only a set of its N²
+pairs, not their lines, and cites the repeat's line alone.
+
 Every file the package writes is opened with ``open_output``. It rewrites
 an existing file in place and cuts it to the new length when the writer is
 done, instead of truncating it to zero on open as ``open(path, "w")`` does.
@@ -56,6 +62,15 @@ def read_rows(path: str, error: type[Exception], delimiter: str = ","):
             raise error(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise decode_error(path, error) from None
+
+
+def claim(first_line: dict, key, path: str, line: int, error: type[Exception],
+          what: str) -> None:
+    """Record ``line`` in ``first_line`` as where ``key`` first appears, or
+    raise ``error`` citing both lines if ``key`` appeared before."""
+    if key in first_line:
+        raise error(f"{path}:{line}: {what} {key!r} repeats line {first_line[key]}")
+    first_line[key] = line
 
 
 def write_rows(path: str, rows, delimiter: str = ",") -> None:

@@ -24,7 +24,8 @@ from typing import NoReturn
 import numpy as np
 
 from .bm25 import SimilarityProfile
-from .files import open_output, read_json_objects, read_rows, write_json_lines
+from .files import claim, open_output, read_json_objects, read_rows, write_json_lines
+from .text import TokenizerConfig, tokenize
 
 
 class RelevanceError(ValueError):
@@ -467,11 +468,12 @@ def load_cases(path: str) -> list[CaseDocument]:
 
 
 def load_citing_cases(
-    path: str, articles_path: str, known_articles: Iterable[str]
+    path: str, articles_path: str, known_articles: Iterable[str], tok_cfg: TokenizerConfig
 ) -> list[CaseDocument]:
     """:func:`load_cases` for a weight table: every case must cite at least
     one article, and only articles in ``known_articles``, the ones
-    ``articles_path`` defines."""
+    ``articles_path`` defines. Its holding, the BM25 query, must hold a
+    token under ``tok_cfg``."""
     cases = []
     for where, case in _read_cases(path):
         if not case.articles:
@@ -482,6 +484,9 @@ def load_citing_cases(
                 f"{where}: case {case.case_id!r} cites article {unknown[0]!r},"
                 f" which {articles_path} does not define"
             )
+        if not tokenize(case.holding, tok_cfg):
+            raise RelevanceError(
+                f"{where}: case {case.case_id!r}: holding tokenizes to an empty query")
         cases.append(case)
     return cases
 
@@ -514,11 +519,7 @@ def _read_cases(path: str):
         if len(case.articles) < len(articles):
             repeated = next(a for k, a in enumerate(articles) if a in articles[:k])
             raise RelevanceError(f"{where}: case {case.case_id!r} cites article {repeated!r} twice")
-        if case.case_id in first_line:
-            raise RelevanceError(
-                f"{where}: case_id {case.case_id!r} repeats line {first_line[case.case_id]}"
-            )
-        first_line[case.case_id] = lineno
+        claim(first_line, case.case_id, path, lineno, RelevanceError, "case_id")
         yield where, case
     if not first_line:
         raise RelevanceError(f"{path}: holds no case")

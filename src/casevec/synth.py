@@ -17,7 +17,7 @@ import numpy as np
 
 from .articles import ArticleSpec, save_article_specs
 from .evaluation import QrelSet, QueryCase, save_queries
-from .files import read_rows, write_rows
+from .files import claim, read_rows, write_rows
 from .relevance import CaseDocument, save_cases
 
 
@@ -189,9 +189,6 @@ def load_labels(path: str) -> dict[str, str]:
     for lineno, row in rows:
         if len(row) != 2:
             raise SynthError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-        if row[0] in first_line:
-            raise SynthError(
-                f"{path}:{lineno}: case_id {row[0]!r} repeats line {first_line[row[0]]}")
-        first_line[row[0]] = lineno
+        claim(first_line, row[0], path, lineno, SynthError, "case_id")
         labels[row[0]] = row[1]
     return labels

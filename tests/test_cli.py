@@ -465,6 +465,15 @@ def test_only_cli_main_prints():
     assert in_main == 2
 
 
+def test_only_files_words_a_repeated_key():
+    """A key a file may hold once is checked by ``files.claim`` alone, so
+    the text of its message is in ``files.py`` and in no other module."""
+    package = Path(cli.__file__).parent
+    holders = [path.name for path in sorted(package.glob("*.py"))
+               if "repeats line" in path.read_text(encoding="utf-8")]
+    assert holders == ["files.py"]
+
+
 class TestCountsBelowMinimum:
     """A count option below its minimum exits 2 before any output is
     opened; an existing output keeps its bytes."""
@@ -537,6 +546,11 @@ def _with(line, **fields):
     return json.dumps({**json.loads(line), **fields})
 
 
+def _articles_text(corpus_dir, edit):
+    doc = json.loads((corpus_dir / "articles.json").read_text())
+    return json.dumps({"articles": edit(doc["articles"])})
+
+
 def _first_case_with(corpus_dir, **fields):
     return _with((corpus_dir / "cases.jsonl").read_text().splitlines()[0], **fields) + "\n"
 
@@ -587,10 +601,10 @@ class TestMalformedFiles:
          lambda d: f"case_id,label\n{FIRST_CASE},a,b\n",
          ":2: expected 2 columns, got 3"),
         (["evaluate", "--run", "BAD", "--qrels", "QRELS"],
-         lambda d: "q\t1\tc\t0.5\nq\t2\tc\t0.4\n", ":2: repeated pair ('q', 'c'), first at line 1"),
+         lambda d: "q\t1\tc\t0.5\nq\t2\tc\t0.4\n", ":2: pair ('q', 'c') repeats line 1"),
         (["evaluate", "--run", "RUN", "--qrels", "BAD"],
          lambda d: "q\tc\t2\nq\td\t1\nq\tc\t0\n",
-         ":3: repeated pair ('q', 'c'), first at line 1"),
+         ":3: pair ('q', 'c') repeats line 1"),
         (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
          lambda d: _first_case_with(d, case_id=""), ":1: case_id must be nonempty"),
         (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
@@ -667,6 +681,18 @@ class TestMalformedFiles:
         (["weights", "--articles", "ARTICLES", "--cases", "CASES", "--config", "BAD"],
          lambda d: b'{"k1": "\xff"}\n',
          ":1: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+        (["weights", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _cases_text(d, lambda ls: ls[:1] + [_with(ls[1], holding="... !")]),
+         f":2: case '{SECOND_CASE}': holding tokenizes to an empty query"),
+        (["pretrain", "--articles", "ARTICLES", "--cases", "BAD"],
+         lambda d: _first_case_with(d, holding=""),
+         f":1: case '{FIRST_CASE}': holding tokenizes to an empty query"),
+        (["expand-articles", "--articles", "BAD"],
+         lambda d: _articles_text(d, lambda items: items + items[1:]),
+         ": articles[2]: duplicate article_id 'art-01'"),
+        (["weights", "--articles", "BAD", "--cases", "CASES"],
+         lambda d: _articles_text(d, lambda items: items[:1] + items),
+         ": articles[1]: duplicate article_id 'art-00'"),
     ], ids=["case-not-object", "query-not-object", "query-facts-number", "articles-string",
             "facts-number", "encode-repeated-id", "weights-repeated-id", "weights-header-only",
             "grade-not-integer", "negative-grade", "score-not-number", "labels-3-fields",
@@ -679,7 +705,9 @@ class TestMalformedFiles:
             "labels-field-over-limit", "weights-id-lone-cr", "encode-id-lone-cr",
             "query-repeated-id", "encode-vocab-repeated-token", "rank-vocab-missing-special",
             "qrels-not-utf8", "cases-not-utf8", "articles-not-utf8", "vocab-not-utf8",
-            "weights-csv-not-utf8", "config-not-utf8"])
+            "weights-csv-not-utf8", "config-not-utf8", "weights-holding-no-token",
+            "pretrain-holding-no-token", "expand-repeated-article-id",
+            "weights-repeated-article-id"])
     def test_bad_file_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv, text,
                                         message):
         model = tmp_path / "run"

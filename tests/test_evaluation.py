@@ -518,11 +518,11 @@ class TestFileFormats:
     @pytest.mark.parametrize("read, text, message", [
         (QrelSet.from_tsv, '"q\nx"\tc\t1\nq\td\t2\nq\te\tx\n', ":4: grade 'x' is not an integer"),
         (QrelSet.from_tsv, 'q\tc\t1\n"q\nx"\td\t2\nq\tc\t0\n',
-         ":4: repeated pair ('q', 'c'), first at line 1"),
+         ":4: pair ('q', 'c') repeats line 1"),
         (load_run, '"q\nx"\t1\tc\t0.5\nq\t1\td\t0.4\nq\t2\te\t0.3\t9\n',
          ":4: expected 4 columns, got 5"),
         (load_run, '"q\nx"\t1\tc\t0.5\nq\t1\td\t0.4\n"q\nx"\t2\tc\t0.3\n',
-         ":5: repeated pair ('q\\nx', 'c'), first at line 2"),
+         ":5: pair ('q\\nx', 'c') repeats line 2"),
     ], ids=["qrels-grade", "qrels-repeat", "run-columns", "run-repeat"])
     def test_errors_cite_the_line_a_row_ends_on(self, tmp_path, read, text, message):
         """A quoted id may span lines; an error cites the file line its

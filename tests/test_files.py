@@ -7,6 +7,7 @@ from casevec import cli
 from casevec.articles import ArticleSpec, load_article_specs
 from casevec.evaluation import QrelSet, QueryCase, load_queries
 from casevec.files import (
+    claim,
     open_output,
     read_json_objects,
     read_rows,
@@ -124,6 +125,29 @@ def test_a_byte_that_is_not_utf8_is_cited_at_the_line_that_holds_it(tmp_path, re
         list(read(str(path), TextError))
     assert str(excinfo.value) == (f"{path}:1003: 'utf-8' codec can't decode byte 0xe9"
                                   " in position 7: invalid continuation byte")
+
+
+def test_claim_records_the_first_line_of_each_distinct_key():
+    first_line = {}
+    for line, key in [(1, "a"), (2, "b"), (4, "c")]:
+        claim(first_line, key, "f.txt", line, TextError, "id")
+    assert first_line == {"a": 1, "b": 2, "c": 4}
+
+
+def test_claim_raises_the_callers_error_citing_both_lines():
+    first_line = {"a": 1, "b": 3}
+    with pytest.raises(TextError) as excinfo:
+        claim(first_line, "b", "f.txt", 7, TextError, "id")
+    assert str(excinfo.value) == "f.txt:7: id 'b' repeats line 3"
+    assert first_line == {"a": 1, "b": 3}
+
+
+def test_claim_prints_a_tuple_key_as_its_repr():
+    first_line = {}
+    claim(first_line, ("q", "c\nd"), "f.tsv", 2, TextError, "pair")
+    with pytest.raises(TextError) as excinfo:
+        claim(first_line, ("q", "c\nd"), "f.tsv", 5, TextError, "pair")
+    assert str(excinfo.value) == "f.tsv:5: pair ('q', 'c\\nd') repeats line 2"
 
 
 @pytest.mark.parametrize("delimiter", [",", "\t"])
